@@ -1,19 +1,21 @@
-// Runtime invariant auditing for the dynamic simulation (DESIGN.md §12).
+// Runtime invariant auditing for the dynamic simulation (DESIGN.md §12,
+// §15).
 //
-// The engine's fault machinery, degradation ladder, and incremental
+// The epoch loop's fault machinery, degradation ladder, and incremental
 // cost-model maintenance each preserve invariants that no unit test can
-// check across every epoch of a chaotic run: the placement must stay
+// check across every epoch of a chaotic run: every placement must stay
 // feasible on whatever is left of the fabric, the costs stamped into the
 // trace must equal what the cost model would recompute from scratch, the
-// injector's dead set and the degraded view must agree, and the observer
-// event stream must be shaped like a run. `InvariantAuditor` is an
-// opt-in per-epoch checker of exactly those properties: the engine
-// constructs one per run when `AuditOptions::enabled` is set, feeds it
-// the same event stream every other observer sees, and calls
-// `check_epoch` after each epoch is fully costed. A violation throws
-// `AuditError`, which carries a structured diagnostic (epoch, policy,
-// violated invariant, offending FlowId / switch NodeId) on top of the
-// formatted message.
+// injector's dead set and the degraded view must agree, the shards' flow
+// id maps must match the workload, and the observer event stream must be
+// shaped like a run. `ShardedInvariantAuditor` is an opt-in per-epoch
+// checker of exactly those properties: the loop (sim/sharded.hpp)
+// constructs one per run when `AuditOptions::enabled` is set — a
+// run_simulation run is audited as a single shard — feeds it the same
+// event stream every other observer sees, and calls it after each epoch
+// is fully costed. A violation throws `AuditError`, which carries a
+// structured diagnostic (epoch, policy, violated invariant, offending
+// FlowId / switch NodeId / shard) on top of the formatted message.
 //
 // The auditor is a pure observer of one run on one thread — parallel
 // experiment jobs each get their own instance (plain-data AuditOptions
@@ -62,11 +64,11 @@ struct AuditViolation {
   std::string invariant;
   FlowId flow = FlowId::invalid();     ///< offending flow, when one exists
   NodeId node = kInvalidNode;          ///< offending switch, when one exists
-  std::string shard;                   ///< offending shard name (sharded runs)
+  std::string shard;                   ///< offending shard name
   std::string detail;                  ///< human-readable specifics
 };
 
-/// Thrown by InvariantAuditor on the first violated invariant.
+/// Thrown by the auditor on the first violated invariant.
 class AuditError : public PpdcError {
  public:
   explicit AuditError(AuditViolation violation);
@@ -75,79 +77,6 @@ class AuditError : public PpdcError {
  private:
   AuditViolation violation_;
 };
-
-/// Everything the auditor needs to re-derive one epoch's truth.
-struct AuditContext {
-  Hour epoch = Hour::invalid();
-  /// The epoch's authoritative cost model (degraded model on faulty
-  /// epochs, the primary model otherwise).
-  const CostModel* model = nullptr;
-  const SimState* state = nullptr;
-  const EpochDecision* decision = nullptr;
-  const DegradedNetwork* degraded = nullptr;  ///< null on pristine epochs
-  const FaultInjector* injector = nullptr;    ///< null without a schedule
-  int n = 0;                                  ///< SFC length
-};
-
-/// Per-run invariant checker. Attach to the engine's event stream (it is
-/// an EpochObserver) and call `check_epoch` once per epoch after
-/// `on_epoch_end`, then `check_run` on the finished trace.
-class InvariantAuditor final : public EpochObserver {
- public:
-  InvariantAuditor(AuditOptions options, std::string policy_name);
-
-  // -- Event-stream sanity tracking (invariant "event-stream") ----------
-  void on_run_begin(Hour horizon, const Placement& initial) override;
-  void on_epoch_begin(Hour hour) override;
-  void on_faults(Hour hour, const EpochFaults& events) override;
-  void on_quarantine(Hour hour, int flows, double unserved_rate,
-                     double penalty) override;
-  void on_ladder_transition(Hour hour, DegradationRung from,
-                            DegradationRung to,
-                            const std::string& reason) override;
-  void on_epoch_end(Hour hour, const EpochDecision& decision) override;
-
-  /// Validates one fully costed epoch against the live engine state.
-  /// Must be called after the epoch's on_epoch_end was delivered.
-  void check_epoch(const AuditContext& ctx);
-
-  /// Validates the finished trace: totals must equal the per-epoch sums
-  /// (TraceRecorder conservation) and the stream must have closed.
-  void check_run(const SimTrace& trace) const;
-
-  int checked_epochs() const noexcept { return checked_epochs_; }
-
- private:
-  [[noreturn]] void fail(Hour epoch, std::string invariant,
-                         std::string detail,
-                         FlowId flow = FlowId::invalid(),
-                         NodeId node = kInvalidNode) const;
-
-  void check_placement(const AuditContext& ctx, const Placement& p) const;
-  void check_conservation(const AuditContext& ctx) const;
-  void check_injector(const AuditContext& ctx) const;
-  void check_stream(const AuditContext& ctx) const;
-
-  AuditOptions options_;
-  std::string policy_;
-  int checked_epochs_ = 0;
-  int transitions_seen_ = 0;
-
-  // Stream state accumulated from the observer callbacks.
-  Hour horizon_ = Hour::invalid();
-  Hour open_epoch_ = Hour::invalid();   ///< begun but not yet ended
-  Hour last_ended_ = Hour::invalid();
-  bool epoch_ended_ = false;            ///< on_epoch_end seen for open epoch
-  EpochDecision last_decision_;
-  EpochFaults last_faults_;             ///< on_faults payload of open epoch
-  bool saw_faults_event_ = false;
-  int stream_quarantined_ = 0;          ///< on_quarantine payload
-  double stream_penalty_ = 0.0;
-  DegradationRung stream_rung_ = DegradationRung::kFull;  ///< from transitions
-};
-
-class ShardedCostModel;  // core/sharded_cost_model.hpp
-class StreamingWorkload;  // workload/streaming.hpp
 
 /// Everything the sharded auditor needs to re-derive one *shard's* epoch
 /// truth (DESIGN.md §15). `model` is the model the shard's epoch was
@@ -177,9 +106,8 @@ struct ShardedAuditContext {
   const FaultInjector* injector = nullptr;
 };
 
-/// Per-run invariant checker of the sharded streaming engine
-/// (sim/sharded.hpp). Reasons per shard where the monolithic auditor
-/// reasons per run: placement feasibility on each shard's degraded core,
+/// Per-run invariant checker of the epoch loop (sim/sharded.hpp).
+/// Reasons per shard: placement feasibility on each shard's degraded core,
 /// per-shard comm-cost conservation against from-scratch flow_cost sums
 /// (including the exactly-patched costs of held shards), global↔local
 /// id-map consistency in ShardedCostModel, and the merged event stream

@@ -654,11 +654,12 @@ std::vector<VmFlow> cursor_vm_flows(Cursor& c) {
 }
 
 void put_decision(std::string& out, const EpochDecision& d) {
-  // moved_flows is deliberately not journaled: the sharded engine rejects
-  // VM-relocating policies, so a sharded decision never carries any.
+  // moved_flows is deliberately not journaled: VM-relocating policies
+  // need a single shard and run through run_simulation, which never
+  // journals.
   PPDC_REQUIRE(d.moved_flows.empty(),
-               "epoch journal cannot persist moved_flows (VM-relocating "
-               "policies are monolithic-only)");
+               "epoch journal cannot persist moved_flows (run VM-relocating "
+               "policies without an epoch journal)");
   put_f64(out, d.comm_cost);
   put_f64(out, d.migration_cost);
   put_f64(out, d.migration_distance);
@@ -837,6 +838,9 @@ std::uint64_t fingerprint_sharded_run(
   h.i64(config.diurnal.hours_per_day).f64(config.diurnal.tau_min);
   h.i64(config.diurnal.coast_offset);
   h.i64(config.initial_placement.candidate_limit);
+  // Like fingerprint_experiment: a journal of a scheduled run must not
+  // resume an unscheduled one (or the reverse).
+  h.b(static_cast<bool>(config.rate_schedule));
   h.f64(config.downtime_factor);
   h.u64(config.faults.size());
   for (const FaultEvent& e : config.faults) {

@@ -249,31 +249,9 @@ class VmRelocatingPolicy final : public MigrationPolicy {
   }
 };
 
-// Monolithic-only features rejected by the sharded engine must name the
-// offending feature AND the nearest supported alternative — a user hitting
-// the wall learns where to go, not just that they hit it.
-TEST(ErrorContract, ShardedRateScheduleRejectionNamesAlternatives) {
-  const Topology topo = build_fat_tree(4);
-  const AllPairs apsp(topo.graph);
-  const ShardMap map = ShardMap::by_ingress_pod(topo);
-  VmPlacementConfig wl;
-  wl.num_pairs = 40;
-  StreamingWorkload workload(topo, wl, StreamingChurnConfig{}, Rng(7));
-  SimConfig cfg;
-  cfg.hours = 3;
-  cfg.rate_schedule = [](Hour) { return std::vector<double>{}; };
-  ShardedStreamingConfig sharded;
-  sharded.enabled = true;
-  sharded.threads = 1;
-  NoMigrationPolicy policy;
-  const std::string msg = error_of([&] {
-    run_sharded_simulation(apsp, map, workload, 3, cfg, sharded, policy);
-  });
-  EXPECT_TRUE(mentions(msg, "rate_schedule")) << msg;
-  EXPECT_TRUE(mentions(msg, "monolithic run_simulation")) << msg;
-  EXPECT_TRUE(mentions(msg, "DiurnalModel")) << msg;
-}
-
+// A VM-relocating policy on a multi-shard map must be rejected by name,
+// with the nearest supported alternative — a user hitting the wall learns
+// where to go, not just that they hit it.
 TEST(ErrorContract, ShardedVmRelocationRejectionNamesAlternatives) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
