@@ -37,7 +37,7 @@ AuditError::AuditError(AuditViolation violation)
     : PpdcError(format_violation(violation)),
       violation_(std::move(violation)) {}
 
-ShardedInvariantAuditor::ShardedInvariantAuditor(
+InvariantAuditor::InvariantAuditor(
     AuditOptions options, std::string policy_name,
     std::vector<std::string> shard_names)
     : options_(options),
@@ -48,9 +48,9 @@ ShardedInvariantAuditor::ShardedInvariantAuditor(
   shard_rungs_.assign(shard_names_.size(), DegradationRung::kFull);
 }
 
-void ShardedInvariantAuditor::fail(Hour epoch, std::string invariant,
-                                   std::string detail, int shard,
-                                   FlowId flow, NodeId node) const {
+void InvariantAuditor::fail(Hour epoch, std::string invariant,
+                            std::string detail, int shard, FlowId flow,
+                            NodeId node) const {
   AuditViolation v;
   v.epoch = epoch;
   v.policy = policy_;
@@ -64,12 +64,12 @@ void ShardedInvariantAuditor::fail(Hour epoch, std::string invariant,
   throw AuditError(std::move(v));
 }
 
-void ShardedInvariantAuditor::on_run_begin(Hour horizon,
-                                           const Placement& /*initial*/) {
+void InvariantAuditor::on_run_begin(Hour horizon,
+                                    const Placement& /*initial*/) {
   horizon_ = horizon;
 }
 
-void ShardedInvariantAuditor::on_epoch_begin(Hour hour) {
+void InvariantAuditor::on_epoch_begin(Hour hour) {
   if (open_epoch_.valid() && !epoch_ended_) {
     fail(hour, "event-stream",
          "epoch began before epoch " + std::to_string(open_epoch_.value()) +
@@ -88,7 +88,7 @@ void ShardedInvariantAuditor::on_epoch_begin(Hour hour) {
   shards_checked_ = 0;
 }
 
-void ShardedInvariantAuditor::on_faults(Hour hour, const EpochFaults& events) {
+void InvariantAuditor::on_faults(Hour hour, const EpochFaults& events) {
   if (hour != open_epoch_) {
     fail(hour, "event-stream", "on_faults outside its epoch");
   }
@@ -96,9 +96,9 @@ void ShardedInvariantAuditor::on_faults(Hour hour, const EpochFaults& events) {
   last_faults_ = events;
 }
 
-void ShardedInvariantAuditor::on_quarantine(Hour hour, int flows,
-                                            double /*unserved_rate*/,
-                                            double penalty) {
+void InvariantAuditor::on_quarantine(Hour hour, int flows,
+                                     double /*unserved_rate*/,
+                                     double penalty) {
   if (hour != open_epoch_) {
     fail(hour, "event-stream", "on_quarantine outside its epoch");
   }
@@ -106,7 +106,7 @@ void ShardedInvariantAuditor::on_quarantine(Hour hour, int flows,
   stream_penalty_ = penalty;
 }
 
-void ShardedInvariantAuditor::on_shard_ladder_transition(
+void InvariantAuditor::on_shard_ladder_transition(
     Hour hour, int shard, const std::string& name, DegradationRung from,
     DegradationRung to, const std::string& reason) {
   if (hour != open_epoch_) {
@@ -139,8 +139,7 @@ void ShardedInvariantAuditor::on_shard_ladder_transition(
   ++transitions_seen_;
 }
 
-void ShardedInvariantAuditor::on_epoch_end(Hour hour,
-                                           const EpochDecision& d) {
+void InvariantAuditor::on_epoch_end(Hour hour, const EpochDecision& d) {
   if (hour != open_epoch_ || epoch_ended_) {
     fail(hour, "event-stream", "on_epoch_end without a matching begin");
   }
@@ -171,7 +170,7 @@ void ShardedInvariantAuditor::on_epoch_end(Hour hour,
   last_ended_ = hour;
 }
 
-void ShardedInvariantAuditor::note_resumed(
+void InvariantAuditor::note_resumed(
     int epochs, int transitions, const std::vector<DegradationRung>& rungs) {
   PPDC_REQUIRE(rungs.size() == shard_rungs_.size(),
                "resumed rung vector does not match the shard count");
@@ -182,7 +181,7 @@ void ShardedInvariantAuditor::note_resumed(
   shard_rungs_ = rungs;
 }
 
-void ShardedInvariantAuditor::check_shard_placement(
+void InvariantAuditor::check_shard_placement(
     const ShardAuditContext& ctx, const Placement& p) const {
   if (p.size() != static_cast<std::size_t>(ctx.n)) {
     fail(ctx.epoch, "placement-feasibility",
@@ -230,7 +229,7 @@ void ShardedInvariantAuditor::check_shard_placement(
   }
 }
 
-void ShardedInvariantAuditor::check_shard_conservation(
+void InvariantAuditor::check_shard_conservation(
     const ShardAuditContext& ctx) const {
   // Frozen shards charge a stale estimate by design; blackout epochs
   // serve nothing — both exempt. Held (and quarantined) shards are NOT
@@ -250,7 +249,7 @@ void ShardedInvariantAuditor::check_shard_conservation(
   }
 }
 
-void ShardedInvariantAuditor::check_shard_epoch(const ShardAuditContext& ctx) {
+void InvariantAuditor::check_shard_epoch(const ShardAuditContext& ctx) {
   if (ctx.epoch != open_epoch_ || !epoch_ended_) {
     fail(ctx.epoch, "event-stream",
          "check_shard_epoch called before the epoch's on_epoch_end",
@@ -275,8 +274,7 @@ void ShardedInvariantAuditor::check_shard_epoch(const ShardAuditContext& ctx) {
   ++shards_checked_;
 }
 
-void ShardedInvariantAuditor::check_idmap(
-    const ShardedAuditContext& ctx) const {
+void InvariantAuditor::check_idmap(const EpochAuditContext& ctx) const {
   const ShardedCostModel& shards = *ctx.shards;
   const auto& global = *ctx.global_flows;
   // Forward: every mapped local slot points back at itself through the
@@ -340,8 +338,7 @@ void ShardedInvariantAuditor::check_idmap(
   }
 }
 
-void ShardedInvariantAuditor::check_injector(
-    const ShardedAuditContext& ctx) const {
+void InvariantAuditor::check_injector(const EpochAuditContext& ctx) const {
   if (ctx.injector == nullptr) {
     if (ctx.degraded != nullptr) {
       fail(ctx.epoch, "injector-consistency",
@@ -392,7 +389,7 @@ void ShardedInvariantAuditor::check_injector(
   }
 }
 
-void ShardedInvariantAuditor::check_epoch(const ShardedAuditContext& ctx) {
+void InvariantAuditor::check_epoch(const EpochAuditContext& ctx) {
   if (ctx.epoch != open_epoch_ || !epoch_ended_) {
     fail(ctx.epoch, "event-stream",
          "check_epoch called before the epoch's on_epoch_end");
@@ -420,7 +417,7 @@ void ShardedInvariantAuditor::check_epoch(const ShardedAuditContext& ctx) {
   ++checked_epochs_;
 }
 
-void ShardedInvariantAuditor::check_run(const SimTrace& trace) const {
+void InvariantAuditor::check_run(const SimTrace& trace) const {
   if (open_epoch_.valid() && !epoch_ended_) {
     fail(open_epoch_, "event-stream", "run ended inside an open epoch");
   }

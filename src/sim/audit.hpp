@@ -8,7 +8,7 @@
 // trace must equal what the cost model would recompute from scratch, the
 // injector's dead set and the degraded view must agree, the shards' flow
 // id maps must match the workload, and the observer event stream must be
-// shaped like a run. `ShardedInvariantAuditor` is an opt-in per-epoch
+// shaped like a run. `InvariantAuditor` is an opt-in per-epoch
 // checker of exactly those properties: the loop (sim/sharded.hpp)
 // constructs one per run when `AuditOptions::enabled` is set — a
 // run_simulation run is audited as a single shard — feeds it the same
@@ -97,7 +97,7 @@ struct ShardAuditContext {
 };
 
 /// The epoch-global inputs of the sharded audit (after the merge).
-struct ShardedAuditContext {
+struct EpochAuditContext {
   Hour epoch = Hour::invalid();
   const ShardedCostModel* shards = nullptr;
   const std::vector<VmFlow>* global_flows = nullptr;  ///< base-rate vector
@@ -115,10 +115,10 @@ struct ShardedAuditContext {
 /// check_shard_epoch once per shard (fixed shard order) after
 /// on_epoch_end, then check_epoch for the merged decision, and check_run
 /// on the finished trace. Violations throw AuditError naming the shard.
-class ShardedInvariantAuditor final : public EpochObserver {
+class InvariantAuditor final : public EpochObserver {
  public:
-  ShardedInvariantAuditor(AuditOptions options, std::string policy_name,
-                          std::vector<std::string> shard_names);
+  InvariantAuditor(AuditOptions options, std::string policy_name,
+                   std::vector<std::string> shard_names);
 
   // -- Event-stream sanity tracking (invariant "event-stream") ----------
   void on_run_begin(Hour horizon, const Placement& initial) override;
@@ -146,7 +146,7 @@ class ShardedInvariantAuditor final : public EpochObserver {
   /// Validates the merged epoch: injector consistency, id-map
   /// consistency, and the merged comm cost against the per-shard charges
   /// accumulated by check_shard_epoch.
-  void check_epoch(const ShardedAuditContext& ctx);
+  void check_epoch(const EpochAuditContext& ctx);
 
   /// Validates the finished trace (TraceRecorder conservation, stream
   /// closure, per-shard counter sums).
@@ -163,8 +163,8 @@ class ShardedInvariantAuditor final : public EpochObserver {
   void check_shard_placement(const ShardAuditContext& ctx,
                              const Placement& p) const;
   void check_shard_conservation(const ShardAuditContext& ctx) const;
-  void check_idmap(const ShardedAuditContext& ctx) const;
-  void check_injector(const ShardedAuditContext& ctx) const;
+  void check_idmap(const EpochAuditContext& ctx) const;
+  void check_injector(const EpochAuditContext& ctx) const;
 
   AuditOptions options_;
   std::string policy_;

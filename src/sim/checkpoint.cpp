@@ -44,7 +44,9 @@ constexpr char kMagic[8] = {'P', 'P', 'D', 'C', 'J', 'N', 'L', '1'};
 // (shard_quarantines, shard_retries, shard_penalty) and the sim-config
 // fingerprint covers ShardedStreamingConfig::quarantine_sla. Older
 // journals are rejected with a clear message — their records cannot be
-// merged bit-exactly into the wider bundle.
+// merged bit-exactly into the wider bundle. A record serializes
+// StatsBundle::metrics in the order of the metric table in
+// sim/experiment.cpp, so adding a metric there bumps this version.
 constexpr std::uint32_t kVersion = 4;
 
 // ---------------------------------------------------------------------------
@@ -61,6 +63,10 @@ void put_u64(std::string& out, std::uint64_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
+void put_i32(std::string& out, std::int32_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
@@ -73,6 +79,9 @@ void put_str(std::string& out, const std::string& s) {
   put_u32(out, checked_cast<std::uint32_t>(s.size(), "journal string length"));
   out.append(s);
 }
+
+/// Encoded size of one RunningStats: n, mean, m2, min, max.
+constexpr std::size_t kRunningStatsBytes = 5 * 8;
 
 void put_running_stats(std::string& out, const RunningStats& s) {
   const RunningStats::Raw raw = s.raw();
@@ -116,12 +125,23 @@ class Cursor {
     raw(&v, sizeof v);
     return v;
   }
+  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
+
+  /// Reads a u32 element count and rejects it, naming its byte offset,
+  /// when that many elements of `bytes_each` bytes would overrun the frame
+  /// — before the caller sizes anything by it.
+  std::uint32_t count(std::size_t bytes_each) {
+    const std::size_t at = pos_;
+    const std::uint32_t n = u32();
+    PPDC_REQUIRE(n <= (end_ - pos_) / bytes_each,
+                 "journal count " + std::to_string(n) + " at byte offset " +
+                     std::to_string(at) + " overruns its frame (" +
+                     std::to_string(end_ - pos_) + " byte(s) left)");
+    return n;
+  }
   std::string str() {
-    const std::uint32_t len = u32();
-    PPDC_REQUIRE(len <= end_ - pos_,
-                 "journal string truncated at byte offset " +
-                     std::to_string(pos_));
+    const std::uint32_t len = count(1);
     std::string s(bytes_->data() + pos_, len);
     pos_ += len;
     return s;
@@ -141,6 +161,65 @@ class Cursor {
   std::size_t pos_;
   std::size_t end_;
 };
+
+/// Wire codec of one element type of a length-prefixed vector: its
+/// encoded size, writer and reader.
+template <typename T>
+struct Wire;
+
+template <>
+struct Wire<std::int32_t> {
+  static constexpr std::size_t kBytes = 4;
+  static void put(std::string& out, std::int32_t v) { put_i32(out, v); }
+  static std::int32_t get(Cursor& c) { return c.i32(); }
+};
+
+template <>
+struct Wire<double> {
+  static constexpr std::size_t kBytes = 8;
+  static void put(std::string& out, double v) { put_f64(out, v); }
+  static double get(Cursor& c) { return c.f64(); }
+};
+
+template <>
+struct Wire<FlowId> {
+  static constexpr std::size_t kBytes = 4;
+  static void put(std::string& out, FlowId id) { put_i32(out, id.value()); }
+  static FlowId get(Cursor& c) { return FlowId{c.i32()}; }
+};
+
+template <>
+struct Wire<VmFlow> {
+  static constexpr std::size_t kBytes = 4 + 4 + 8 + 4;
+  static void put(std::string& out, const VmFlow& f) {
+    put_i32(out, f.src_host);
+    put_i32(out, f.dst_host);
+    put_f64(out, f.rate);
+    put_i32(out, f.group);
+  }
+  static VmFlow get(Cursor& c) {
+    VmFlow f;
+    f.src_host = c.i32();
+    f.dst_host = c.i32();
+    f.rate = c.f64();
+    f.group = c.i32();
+    return f;
+  }
+};
+
+/// [u32 count][count encoded elements].
+template <typename T>
+void put_vec(std::string& out, const std::vector<T>& v) {
+  put_u32(out, checked_cast<std::uint32_t>(v.size(), "journal vector length"));
+  for (const T& x : v) Wire<T>::put(out, x);
+}
+
+template <typename T>
+std::vector<T> read_vec(Cursor& c) {
+  std::vector<T> v(c.count(Wire<T>::kBytes));
+  for (T& x : v) x = Wire<T>::get(c);
+  return v;
+}
 
 /// Frames a payload: [u32 length][u32 crc32(payload)][payload].
 void append_frame(std::string& out, const std::string& payload) {
@@ -173,6 +252,27 @@ std::pair<std::size_t, std::size_t> read_frame(const std::string& bytes,
   return {begin, begin + len};
 }
 
+/// Checks that `bytes` opens with `magic`, reads the header frame after it
+/// and its leading version word, and returns a cursor over the rest of the
+/// header payload; `pos` is left after the header frame. `kind` names the
+/// format in errors. A bad header is never recoverable: without a trusted
+/// header nothing else in the file can be believed.
+Cursor read_header(const std::string& bytes, const char (&magic)[8],
+                   std::uint32_t version, const std::string& kind,
+                   const std::string& path, std::size_t& pos) {
+  PPDC_REQUIRE(bytes.size() >= sizeof magic &&
+                   std::memcmp(bytes.data(), magic, sizeof magic) == 0,
+               "'" + path + "' is not a ppdc " + kind + " (bad magic)");
+  pos = sizeof magic;
+  const auto [begin, end] = read_frame(bytes, pos);
+  Cursor c(bytes, begin, end);
+  const std::uint32_t found = c.u32();
+  PPDC_REQUIRE(found == version,
+               kind + " '" + path + "' has version " + std::to_string(found) +
+                   ", this build reads version " + std::to_string(version));
+  return c;
+}
+
 std::string serialize_header(const ExperimentFingerprint& fp,
                              const JournalDims& dims) {
   std::string payload;
@@ -201,26 +301,9 @@ std::string serialize_record(const JobRecord& rec) {
   if (has_stats) {
     put_u32(payload, checked_cast<std::uint32_t>(rec.stats.hourly_cost.size(),
                                                  "journal hours"));
-    put_running_stats(payload, rec.stats.total);
-    put_running_stats(payload, rec.stats.comm);
-    put_running_stats(payload, rec.stats.migration);
-    put_running_stats(payload, rec.stats.vnf_moves);
-    put_running_stats(payload, rec.stats.vm_moves);
-    put_running_stats(payload, rec.stats.recovery_moves);
-    put_running_stats(payload, rec.stats.recovery_cost);
-    put_running_stats(payload, rec.stats.quarantined);
-    put_running_stats(payload, rec.stats.penalty);
-    put_running_stats(payload, rec.stats.downtime);
-    put_running_stats(payload, rec.stats.truncated);
-    put_running_stats(payload, rec.stats.ladder_transitions);
-    put_running_stats(payload, rec.stats.refresh_only);
-    put_running_stats(payload, rec.stats.frozen);
-    put_running_stats(payload, rec.stats.policy_failures);
-    put_running_stats(payload, rec.stats.shard_resolves);
-    put_running_stats(payload, rec.stats.shard_holds);
-    put_running_stats(payload, rec.stats.shard_quarantines);
-    put_running_stats(payload, rec.stats.shard_retries);
-    put_running_stats(payload, rec.stats.shard_penalty);
+    for (const RunningStats& s : rec.stats.metrics) {
+      put_running_stats(payload, s);
+    }
     for (const RunningStats& s : rec.stats.hourly_cost) {
       put_running_stats(payload, s);
     }
@@ -253,39 +336,18 @@ JobRecord parse_record(const std::string& bytes, std::size_t begin,
                    std::to_string(dims.trials) + "x" +
                    std::to_string(dims.policies) + " grid");
   if (has_stats) {
-    const std::uint32_t hours = c.u32();
+    // Both hourly series follow: bound the count by the frame before the
+    // bundle is sized by it.
+    const std::uint32_t hours = c.count(2 * kRunningStatsBytes);
     PPDC_REQUIRE(hours == dims.hours,
                  "journal record at byte offset " + std::to_string(begin) +
                      " carries " + std::to_string(hours) +
                      " hourly series entries for a " +
                      std::to_string(dims.hours) + "-hour horizon");
     rec.stats = StatsBundle(hours);
-    rec.stats.total = c.running_stats();
-    rec.stats.comm = c.running_stats();
-    rec.stats.migration = c.running_stats();
-    rec.stats.vnf_moves = c.running_stats();
-    rec.stats.vm_moves = c.running_stats();
-    rec.stats.recovery_moves = c.running_stats();
-    rec.stats.recovery_cost = c.running_stats();
-    rec.stats.quarantined = c.running_stats();
-    rec.stats.penalty = c.running_stats();
-    rec.stats.downtime = c.running_stats();
-    rec.stats.truncated = c.running_stats();
-    rec.stats.ladder_transitions = c.running_stats();
-    rec.stats.refresh_only = c.running_stats();
-    rec.stats.frozen = c.running_stats();
-    rec.stats.policy_failures = c.running_stats();
-    rec.stats.shard_resolves = c.running_stats();
-    rec.stats.shard_holds = c.running_stats();
-    rec.stats.shard_quarantines = c.running_stats();
-    rec.stats.shard_retries = c.running_stats();
-    rec.stats.shard_penalty = c.running_stats();
-    for (std::uint32_t h = 0; h < hours; ++h) {
-      rec.stats.hourly_cost[h] = c.running_stats();
-    }
-    for (std::uint32_t h = 0; h < hours; ++h) {
-      rec.stats.hourly_moves[h] = c.running_stats();
-    }
+    for (RunningStats& s : rec.stats.metrics) s = c.running_stats();
+    for (RunningStats& s : rec.stats.hourly_cost) s = c.running_stats();
+    for (RunningStats& s : rec.stats.hourly_moves) s = c.running_stats();
   }
   PPDC_REQUIRE(c.exhausted(),
                "journal record at byte offset " + std::to_string(begin) +
@@ -351,12 +413,12 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
-/// Fault-injection hook for the kill-resume CI gate: when the environment
-/// variable PPDC_CHECKPOINT_CRASH_AFTER=N is set, the process hard-exits
-/// (no unwinding, no atexit — a SIGKILL stand-in) right after the N-th
-/// record of this run becomes durable.
-int crash_after_from_env() {
-  const char* v = std::getenv("PPDC_CHECKPOINT_CRASH_AFTER");
+/// Fault-injection hook of the kill-resume gates: when the environment
+/// variable `var` holds a positive integer N, the caller hard-exits (no
+/// unwinding, no atexit — a SIGKILL stand-in) right after its N-th
+/// durable write. 0 (disabled) otherwise.
+int crash_after_from_env(const char* var) {
+  const char* v = std::getenv(var);
   if (v == nullptr) return 0;
   // strtol instead of atoi so garbage ("", "abc", trailing junk) is
   // detectably rejected rather than silently parsed as 0-ish.
@@ -366,6 +428,58 @@ int crash_after_from_env() {
   return n > 0 && n <= std::numeric_limits<int>::max()
              ? static_cast<int>(n)
              : 0;
+}
+
+// Knob groups shared by fingerprint_experiment and
+// fingerprint_sharded_run, so each result-shaping knob is hashed in one
+// place. The order of the calls in each caller is part of its fingerprint
+// value.
+
+/// The churn trace, the bounded-staleness re-solve schedule and the
+/// quarantine SLA (which prices quarantined shard-epochs into total
+/// cost). Shard threads and the epoch-journal knobs are excluded: they
+/// only decide wall time and durability, never results.
+void hash_churn_and_staleness(Hash64& h, const ShardedStreamingConfig& s) {
+  h.i64(s.churn.arrivals_per_epoch);
+  h.f64(s.churn.departure_prob);
+  h.f64(s.churn.rerate_prob);
+  h.f64(s.resolve_churn_fraction);
+  h.i64(s.max_staleness);
+  h.f64(s.quarantine_sla);
+}
+
+/// The diurnal model, the hour-0 candidate limit, whether a custom rate
+/// schedule is set, and the downtime factor.
+void hash_schedule_knobs(Hash64& h, const SimConfig& c) {
+  h.i64(c.diurnal.hours_per_day).f64(c.diurnal.tau_min);
+  h.i64(c.diurnal.coast_offset);
+  h.i64(c.initial_placement.candidate_limit);
+  // A journal of a scheduled run must not resume an unscheduled one (or
+  // the reverse).
+  h.b(static_cast<bool>(c.rate_schedule));
+  h.f64(c.downtime_factor);
+}
+
+void hash_faults(Hash64& h, const FaultSchedule& faults) {
+  h.u64(faults.size());
+  for (const FaultEvent& e : faults) {
+    h.i64(e.epoch.value()).u64(static_cast<std::uint64_t>(e.kind));
+    h.i64(e.node).i64(e.u).i64(e.v);
+  }
+}
+
+void hash_fault_handling(Hash64& h, const SimConfig& c) {
+  h.f64(c.fault.mu).f64(c.fault.quarantine_penalty);
+  h.i64(c.fault.placement.candidate_limit);
+  h.b(c.fault.exhaustive_recovery);
+  h.f64(c.fault.budget.wall_ms);
+  h.b(c.ladder.enabled);
+  h.f64(c.ladder.max_quarantined_fraction);
+  h.i64(c.ladder.trip_truncations);
+  h.i64(c.ladder.recovery_epochs);
+  // Auditing changes no results, but a run that dies on an AuditError
+  // must not silently resume as a non-audited run (and vice versa).
+  h.b(c.audit.enabled);
 }
 
 }  // namespace
@@ -420,11 +534,7 @@ ExperimentFingerprint fingerprint_experiment(
   }
   {
     Hash64 h;
-    h.u64(config.sim.faults.size());
-    for (const FaultEvent& e : config.sim.faults) {
-      h.i64(e.epoch.value()).u64(static_cast<std::uint64_t>(e.kind));
-      h.i64(e.node).i64(e.u).i64(e.v);
-    }
+    hash_faults(h, config.sim.faults);
     fp.fault_schedule = h.value();
   }
   {
@@ -436,36 +546,10 @@ ExperimentFingerprint fingerprint_experiment(
   {
     Hash64 h;
     h.i64(config.sfc_length).i64(config.sim.hours);
-    h.i64(config.sim.diurnal.hours_per_day).f64(config.sim.diurnal.tau_min);
-    h.i64(config.sim.diurnal.coast_offset);
-    h.i64(config.sim.initial_placement.candidate_limit);
-    h.b(static_cast<bool>(config.sim.rate_schedule));
-    h.f64(config.sim.downtime_factor);
-    h.f64(config.sim.fault.mu).f64(config.sim.fault.quarantine_penalty);
-    h.i64(config.sim.fault.placement.candidate_limit);
-    h.b(config.sim.fault.exhaustive_recovery);
-    h.f64(config.sim.fault.budget.wall_ms);
-    h.b(config.sim.ladder.enabled);
-    h.f64(config.sim.ladder.max_quarantined_fraction);
-    h.i64(config.sim.ladder.trip_truncations);
-    h.i64(config.sim.ladder.recovery_epochs);
-    // Auditing changes no results, but a run that dies on an AuditError
-    // must not silently resume as a non-audited run (and vice versa).
-    h.b(config.sim.audit.enabled);
-    // Sharded streaming execution: the churn trace and the
-    // bounded-staleness re-solve schedule both shape results. Thread
-    // counts stay excluded (bit-identical by construction).
+    hash_schedule_knobs(h, config.sim);
+    hash_fault_handling(h, config.sim);
     h.b(config.sharded.enabled);
-    h.i64(config.sharded.churn.arrivals_per_epoch);
-    h.f64(config.sharded.churn.departure_prob);
-    h.f64(config.sharded.churn.rerate_prob);
-    h.f64(config.sharded.resolve_churn_fraction);
-    h.i64(config.sharded.max_staleness);
-    // Shard failure containment: the quarantine SLA prices quarantined
-    // shard-epochs into total cost. The epoch-journal knobs
-    // (epoch_journal, epoch_checkpoint_every) stay excluded — they only
-    // decide durability, never results.
-    h.f64(config.sharded.quarantine_sla);
+    hash_churn_and_staleness(h, config.sharded);
     fp.sim_config = h.value();
   }
   return fp;
@@ -474,7 +558,8 @@ ExperimentFingerprint fingerprint_experiment(
 CheckpointJournal::CheckpointJournal(std::string path,
                                      const ExperimentFingerprint& fingerprint,
                                      const JournalDims& dims)
-    : path_(std::move(path)), crash_after_(crash_after_from_env()) {
+    : path_(std::move(path)),
+      crash_after_(crash_after_from_env("PPDC_CHECKPOINT_CRASH_AFTER")) {
   PPDC_REQUIRE(!path_.empty(), "checkpoint journal path is empty");
   if (file_exists(path_)) {
     JournalContents contents = read_journal(path_);
@@ -530,20 +615,10 @@ JournalContents read_journal(const std::string& path) {
                "checkpoint journal '" + path + "' does not exist");
   const std::string bytes = read_file(path);
   JournalContents out;
-  PPDC_REQUIRE(bytes.size() >= sizeof kMagic &&
-                   std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0,
-               "'" + path + "' is not a ppdc checkpoint journal (bad magic)");
-  std::size_t pos = sizeof kMagic;
+  std::size_t pos = 0;
   {
-    // Header corruption is not recoverable — without a trusted
-    // fingerprint nothing in the file can be believed.
-    const auto [begin, end] = read_frame(bytes, pos);
-    Cursor c(bytes, begin, end);
-    const std::uint32_t version = c.u32();
-    PPDC_REQUIRE(version == kVersion,
-                 "checkpoint journal '" + path + "' has version " +
-                     std::to_string(version) + ", this build reads version " +
-                     std::to_string(kVersion));
+    Cursor c =
+        read_header(bytes, kMagic, kVersion, "checkpoint journal", path, pos);
     out.fingerprint.topology = c.u64();
     out.fingerprint.workload = c.u64();
     out.fingerprint.fault_schedule = c.u64();
@@ -586,73 +661,6 @@ namespace {
 constexpr char kEpochMagic[8] = {'P', 'P', 'D', 'C', 'E', 'J', 'L', '1'};
 constexpr std::uint32_t kEpochVersion = 1;
 
-void put_i32(std::string& out, std::int32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::int32_t cursor_i32(Cursor& c) {
-  return static_cast<std::int32_t>(c.u32());
-}
-
-void put_i32_vec(std::string& out, const std::vector<std::int32_t>& v) {
-  put_u32(out, checked_cast<std::uint32_t>(v.size(), "epoch journal vector"));
-  for (const std::int32_t x : v) put_i32(out, x);
-}
-
-std::vector<std::int32_t> cursor_i32_vec(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<std::int32_t> v(size);
-  for (std::uint32_t i = 0; i < size; ++i) v[i] = cursor_i32(c);
-  return v;
-}
-
-void put_f64_vec(std::string& out, const std::vector<double>& v) {
-  put_u32(out, checked_cast<std::uint32_t>(v.size(), "epoch journal vector"));
-  for (const double x : v) put_f64(out, x);
-}
-
-std::vector<double> cursor_f64_vec(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<double> v(size);
-  for (std::uint32_t i = 0; i < size; ++i) v[i] = c.f64();
-  return v;
-}
-
-void put_flowid_vec(std::string& out, const std::vector<FlowId>& v) {
-  put_u32(out, checked_cast<std::uint32_t>(v.size(), "epoch journal vector"));
-  for (const FlowId id : v) put_i32(out, id.value());
-}
-
-std::vector<FlowId> cursor_flowid_vec(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<FlowId> v(size);
-  for (std::uint32_t i = 0; i < size; ++i) v[i] = FlowId{cursor_i32(c)};
-  return v;
-}
-
-void put_vm_flows(std::string& out, const std::vector<VmFlow>& flows) {
-  put_u32(out, checked_cast<std::uint32_t>(flows.size(),
-                                           "epoch journal flow vector"));
-  for (const VmFlow& f : flows) {
-    put_i32(out, f.src_host);
-    put_i32(out, f.dst_host);
-    put_f64(out, f.rate);
-    put_i32(out, f.group);
-  }
-}
-
-std::vector<VmFlow> cursor_vm_flows(Cursor& c) {
-  const std::uint32_t size = c.u32();
-  std::vector<VmFlow> flows(size);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    flows[i].src_host = cursor_i32(c);
-    flows[i].dst_host = cursor_i32(c);
-    flows[i].rate = c.f64();
-    flows[i].group = cursor_i32(c);
-  }
-  return flows;
-}
-
 void put_decision(std::string& out, const EpochDecision& d) {
   // moved_flows is deliberately not journaled: VM-relocating policies
   // need a single shard and run through run_simulation, which never
@@ -688,15 +696,15 @@ EpochDecision cursor_decision(Cursor& c) {
   d.comm_cost = c.f64();
   d.migration_cost = c.f64();
   d.migration_distance = c.f64();
-  d.vnf_migrations = cursor_i32(c);
-  d.vm_migrations = cursor_i32(c);
-  d.truncated_solves = cursor_i32(c);
-  d.switch_failures = cursor_i32(c);
-  d.link_failures = cursor_i32(c);
-  d.repairs = cursor_i32(c);
-  d.recovery_migrations = cursor_i32(c);
+  d.vnf_migrations = c.i32();
+  d.vm_migrations = c.i32();
+  d.truncated_solves = c.i32();
+  d.switch_failures = c.i32();
+  d.link_failures = c.i32();
+  d.repairs = c.i32();
+  d.recovery_migrations = c.i32();
   d.recovery_cost = c.f64();
-  d.quarantined_flows = cursor_i32(c);
+  d.quarantined_flows = c.i32();
   d.quarantine_penalty = c.f64();
   d.service_down = c.u8() != 0;
   const std::uint8_t rung = c.u8();
@@ -705,51 +713,51 @@ EpochDecision cursor_decision(Cursor& c) {
                    std::to_string(rung));
   d.rung = static_cast<DegradationRung>(rung);
   d.policy_failed = c.u8() != 0;
-  d.resolved_shards = cursor_i32(c);
-  d.held_shards = cursor_i32(c);
-  d.quarantined_shards = cursor_i32(c);
-  d.shard_retries = cursor_i32(c);
+  d.resolved_shards = c.i32();
+  d.held_shards = c.i32();
+  d.quarantined_shards = c.i32();
+  d.shard_retries = c.i32();
   d.shard_penalty = c.f64();
   return d;
 }
 
 void put_group_snapshot(std::string& out, const CostModel::GroupSnapshot& g) {
   put_i32(out, g.num_groups);
-  put_f64_vec(out, g.base_rates);
-  put_i32_vec(out, g.groups);
-  put_i32_vec(out, g.group_rows);
-  put_i32_vec(out, g.row_groups);
-  put_f64_vec(out, g.group_ingress);
-  put_f64_vec(out, g.group_egress);
-  put_f64_vec(out, g.last_scales);
-  put_i32_vec(out, g.snap_src);
-  put_i32_vec(out, g.snap_dst);
+  put_vec(out, g.base_rates);
+  put_vec(out, g.groups);
+  put_vec(out, g.group_rows);
+  put_vec(out, g.row_groups);
+  put_vec(out, g.group_ingress);
+  put_vec(out, g.group_egress);
+  put_vec(out, g.last_scales);
+  put_vec(out, g.snap_src);
+  put_vec(out, g.snap_dst);
 }
 
 CostModel::GroupSnapshot cursor_group_snapshot(Cursor& c) {
   CostModel::GroupSnapshot g;
-  g.num_groups = cursor_i32(c);
-  g.base_rates = cursor_f64_vec(c);
-  g.groups = cursor_i32_vec(c);
-  g.group_rows = cursor_i32_vec(c);
-  g.row_groups = cursor_i32_vec(c);
-  g.group_ingress = cursor_f64_vec(c);
-  g.group_egress = cursor_f64_vec(c);
-  g.last_scales = cursor_f64_vec(c);
-  g.snap_src = cursor_i32_vec(c);
-  g.snap_dst = cursor_i32_vec(c);
+  g.num_groups = c.i32();
+  g.base_rates = read_vec<double>(c);
+  g.groups = read_vec<std::int32_t>(c);
+  g.group_rows = read_vec<std::int32_t>(c);
+  g.row_groups = read_vec<std::int32_t>(c);
+  g.group_ingress = read_vec<double>(c);
+  g.group_egress = read_vec<double>(c);
+  g.last_scales = read_vec<double>(c);
+  g.snap_src = read_vec<std::int32_t>(c);
+  g.snap_dst = read_vec<std::int32_t>(c);
   return g;
 }
 
 void put_shard_state(std::string& out, const ShardResumeState& s) {
-  put_vm_flows(out, s.shard.flows);
-  put_f64_vec(out, s.shard.base_rates);
-  put_i32_vec(out, s.shard.groups);
-  put_flowid_vec(out, s.shard.global_ids);
-  put_flowid_vec(out, s.shard.free_locals);
+  put_vec(out, s.shard.flows);
+  put_vec(out, s.shard.base_rates);
+  put_vec(out, s.shard.groups);
+  put_vec(out, s.shard.global_ids);
+  put_vec(out, s.shard.free_locals);
   put_i32(out, s.shard.live);
   put_group_snapshot(out, s.shard.model);
-  put_i32_vec(out, s.placement);
+  put_vec(out, s.placement);
   put_f64(out, s.last_comm);
   put_i32(out, s.staleness);
   put_i32(out, s.churned);
@@ -761,32 +769,32 @@ void put_shard_state(std::string& out, const ShardResumeState& s) {
 
 ShardResumeState cursor_shard_state(Cursor& c) {
   ShardResumeState s;
-  s.shard.flows = cursor_vm_flows(c);
-  s.shard.base_rates = cursor_f64_vec(c);
-  s.shard.groups = cursor_i32_vec(c);
-  s.shard.global_ids = cursor_flowid_vec(c);
-  s.shard.free_locals = cursor_flowid_vec(c);
-  s.shard.live = cursor_i32(c);
+  s.shard.flows = read_vec<VmFlow>(c);
+  s.shard.base_rates = read_vec<double>(c);
+  s.shard.groups = read_vec<std::int32_t>(c);
+  s.shard.global_ids = read_vec<FlowId>(c);
+  s.shard.free_locals = read_vec<FlowId>(c);
+  s.shard.live = c.i32();
   s.shard.model = cursor_group_snapshot(c);
-  s.placement = cursor_i32_vec(c);
+  s.placement = read_vec<std::int32_t>(c);
   s.last_comm = c.f64();
-  s.staleness = cursor_i32(c);
-  s.churned = cursor_i32(c);
+  s.staleness = c.i32();
+  s.churned = c.i32();
   s.resync_pending = c.u8() != 0;
   s.rung = c.u8();
   PPDC_REQUIRE(s.rung <= static_cast<std::uint8_t>(DegradationRung::kFrozen),
                "epoch journal shard state carries unknown rung " +
                    std::to_string(s.rung));
-  s.clean_streak = cursor_i32(c);
-  s.fail_streak = cursor_i32(c);
+  s.clean_streak = c.i32();
+  s.fail_streak = c.i32();
   return s;
 }
 
 std::string serialize_workload_snapshot(
     const StreamingWorkload::Snapshot& snap) {
   std::string out;
-  put_vm_flows(out, snap.flows);
-  put_flowid_vec(out, snap.free_slots);
+  put_vec(out, snap.flows);
+  put_vec(out, snap.free_slots);
   put_i32(out, snap.next_index);
   for (const std::uint64_t s : snap.rng) put_u64(out, s);
   return out;
@@ -794,24 +802,11 @@ std::string serialize_workload_snapshot(
 
 StreamingWorkload::Snapshot cursor_workload_snapshot(Cursor& c) {
   StreamingWorkload::Snapshot snap;
-  snap.flows = cursor_vm_flows(c);
-  snap.free_slots = cursor_flowid_vec(c);
-  snap.next_index = cursor_i32(c);
+  snap.flows = read_vec<VmFlow>(c);
+  snap.free_slots = read_vec<FlowId>(c);
+  snap.next_index = c.i32();
   for (std::uint64_t& s : snap.rng) s = c.u64();
   return snap;
-}
-
-/// Kill-resume fault injection (PPDC_EPOCH_CRASH_AFTER=N): hard-exit after
-/// the N-th durable epoch-journal write of this process.
-int epoch_crash_after_from_env() {
-  const char* v = std::getenv("PPDC_EPOCH_CRASH_AFTER");
-  if (v == nullptr) return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return 0;
-  return n > 0 && n <= std::numeric_limits<int>::max()
-             ? static_cast<int>(n)
-             : 0;
 }
 
 std::atomic<int> g_epoch_journal_writes{0};
@@ -827,35 +822,12 @@ std::uint64_t fingerprint_sharded_run(
   // pin how it evolves (the snapshot alone cannot — two configs share an
   // epoch-0 state but diverge from epoch 1).
   h.u64(hash64(serialize_workload_snapshot(entry_state)));
-  h.i64(sharded.churn.arrivals_per_epoch);
-  h.f64(sharded.churn.departure_prob);
-  h.f64(sharded.churn.rerate_prob);
-  h.f64(sharded.resolve_churn_fraction);
-  h.i64(sharded.max_staleness);
-  h.f64(sharded.quarantine_sla);
+  hash_churn_and_staleness(h, sharded);
   h.str(policy_name);
   h.i64(n).i64(num_shards).i64(config.hours);
-  h.i64(config.diurnal.hours_per_day).f64(config.diurnal.tau_min);
-  h.i64(config.diurnal.coast_offset);
-  h.i64(config.initial_placement.candidate_limit);
-  // Like fingerprint_experiment: a journal of a scheduled run must not
-  // resume an unscheduled one (or the reverse).
-  h.b(static_cast<bool>(config.rate_schedule));
-  h.f64(config.downtime_factor);
-  h.u64(config.faults.size());
-  for (const FaultEvent& e : config.faults) {
-    h.i64(e.epoch.value()).u64(static_cast<std::uint64_t>(e.kind));
-    h.i64(e.node).i64(e.u).i64(e.v);
-  }
-  h.f64(config.fault.mu).f64(config.fault.quarantine_penalty);
-  h.i64(config.fault.placement.candidate_limit);
-  h.b(config.fault.exhaustive_recovery);
-  h.f64(config.fault.budget.wall_ms);
-  h.b(config.ladder.enabled);
-  h.f64(config.ladder.max_quarantined_fraction);
-  h.i64(config.ladder.trip_truncations);
-  h.i64(config.ladder.recovery_epochs);
-  h.b(config.audit.enabled);
+  hash_schedule_knobs(h, config);
+  hash_faults(h, config.faults);
+  hash_fault_handling(h, config);
   return h.value();
 }
 
@@ -872,7 +844,7 @@ void write_epoch_journal(const std::string& path,
                                                 "epoch journal epochs"));
     put_u32(header, checked_cast<std::uint32_t>(state.shards.size(),
                                                 "epoch journal shards"));
-    put_i32_vec(header, state.merged_initial);
+    put_vec(header, state.merged_initial);
     append_frame(bytes, header);
   }
   for (const EpochRecord& rec : state.epochs) {
@@ -890,7 +862,8 @@ void write_epoch_journal(const std::string& path,
     append_frame(bytes, payload);
   }
   write_atomic(path, bytes);
-  static const int crash_after = epoch_crash_after_from_env();
+  static const int crash_after =
+      crash_after_from_env("PPDC_EPOCH_CRASH_AFTER");
   const int writes =
       g_epoch_journal_writes.fetch_add(1, std::memory_order_relaxed) + 1;
   if (crash_after > 0 && writes >= crash_after) {
@@ -903,26 +876,17 @@ void write_epoch_journal(const std::string& path,
 bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
   if (!file_exists(path)) return false;
   const std::string bytes = read_file(path);
-  PPDC_REQUIRE(bytes.size() >= sizeof kEpochMagic &&
-                   std::memcmp(bytes.data(), kEpochMagic,
-                               sizeof kEpochMagic) == 0,
-               "'" + path + "' is not a ppdc epoch journal (bad magic)");
-  std::size_t pos = sizeof kEpochMagic;
+  std::size_t pos = 0;
   std::uint32_t num_epochs = 0;
   std::uint32_t num_shards = 0;
   {
-    const auto [begin, end] = read_frame(bytes, pos);
-    Cursor c(bytes, begin, end);
-    const std::uint32_t version = c.u32();
-    PPDC_REQUIRE(version == kEpochVersion,
-                 "epoch journal '" + path + "' has version " +
-                     std::to_string(version) + ", this build reads version " +
-                     std::to_string(kEpochVersion));
+    Cursor c = read_header(bytes, kEpochMagic, kEpochVersion, "epoch journal",
+                           path, pos);
     out.fingerprint = c.u64();
     out.hours = c.u32();
     num_epochs = c.u32();
     num_shards = c.u32();
-    out.merged_initial = cursor_i32_vec(c);
+    out.merged_initial = read_vec<std::int32_t>(c);
     PPDC_REQUIRE(c.exhausted(),
                  "epoch journal '" + path + "' header has trailing bytes");
     PPDC_REQUIRE(num_epochs >= 1 && num_epochs <= out.hours,
@@ -930,8 +894,10 @@ bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
                      std::to_string(num_epochs) + " epochs for a " +
                      std::to_string(out.hours) + "-hour horizon");
   }
+  // The epoch and shard counts are not reserved up front: every element
+  // must come out of a CRC-checked frame, so a hostile count runs out of
+  // bytes instead of memory.
   out.epochs.clear();
-  out.epochs.reserve(num_epochs);
   for (std::uint32_t e = 0; e < num_epochs; ++e) {
     const auto [begin, end] = read_frame(bytes, pos);
     Cursor c(bytes, begin, end);
@@ -947,7 +913,6 @@ bool read_epoch_journal(const std::string& path, EpochJournalState& out) {
     const auto [begin, end] = read_frame(bytes, pos);
     Cursor c(bytes, begin, end);
     out.shards.clear();
-    out.shards.reserve(num_shards);
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       out.shards.push_back(cursor_shard_state(c));
     }

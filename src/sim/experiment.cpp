@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <iterator>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -24,63 +25,53 @@
 
 namespace ppdc {
 
-void StatsBundle::add(const SimTrace& trace) {
-  total.add(trace.total_cost);
-  comm.add(trace.total_comm_cost);
-  migration.add(trace.total_migration_cost);
-  vnf_moves.add(static_cast<double>(trace.total_vnf_migrations));
-  vm_moves.add(static_cast<double>(trace.total_vm_migrations));
-  recovery_moves.add(static_cast<double>(trace.total_recovery_migrations));
-  recovery_cost.add(trace.total_recovery_cost);
-  quarantined.add(static_cast<double>(trace.quarantined_flow_epochs));
-  penalty.add(trace.total_quarantine_penalty);
-  downtime.add(static_cast<double>(trace.downtime_epochs));
-  truncated.add(static_cast<double>(trace.total_truncated_solves));
-  ladder_transitions.add(static_cast<double>(trace.ladder_transitions));
-  refresh_only.add(static_cast<double>(trace.refresh_only_epochs));
-  frozen.add(static_cast<double>(trace.frozen_epochs));
-  policy_failures.add(static_cast<double>(trace.policy_failures));
-  shard_resolves.add(static_cast<double>(trace.total_shard_resolves));
-  shard_holds.add(static_cast<double>(trace.total_shard_holds));
-  shard_quarantines.add(static_cast<double>(trace.quarantined_shard_epochs));
-  shard_retries.add(static_cast<double>(trace.total_shard_retries));
-  shard_penalty.add(trace.total_shard_penalty);
-  for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
-    const EpochDecision& d = trace.epochs[h];
-    hourly_cost[h].add(d.comm_cost + d.migration_cost);
-    hourly_moves[h].add(
-        static_cast<double>(d.vnf_migrations + d.vm_migrations));
-  }
-}
-
-void StatsBundle::merge(const StatsBundle& other) {
-  total.merge(other.total);
-  comm.merge(other.comm);
-  migration.merge(other.migration);
-  vnf_moves.merge(other.vnf_moves);
-  vm_moves.merge(other.vm_moves);
-  recovery_moves.merge(other.recovery_moves);
-  recovery_cost.merge(other.recovery_cost);
-  quarantined.merge(other.quarantined);
-  penalty.merge(other.penalty);
-  downtime.merge(other.downtime);
-  truncated.merge(other.truncated);
-  ladder_transitions.merge(other.ladder_transitions);
-  refresh_only.merge(other.refresh_only);
-  frozen.merge(other.frozen);
-  policy_failures.merge(other.policy_failures);
-  shard_resolves.merge(other.shard_resolves);
-  shard_holds.merge(other.shard_holds);
-  shard_quarantines.merge(other.shard_quarantines);
-  shard_retries.merge(other.shard_retries);
-  shard_penalty.merge(other.shard_penalty);
-  for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
-    hourly_cost[h].merge(other.hourly_cost[h]);
-    hourly_moves[h].merge(other.hourly_moves[h]);
-  }
-}
-
 namespace {
+
+/// One per-run metric: how a run samples it from its trace, and the
+/// PolicyStats field its mean lands in.
+struct Metric {
+  double (*sample)(const SimTrace&);
+  MeanCi PolicyStats::*stat;
+};
+
+/// Reads one SimTrace total as a sample (integer counts widen exactly).
+template <auto kTotal>
+double sample(const SimTrace& trace) {
+  return static_cast<double>(trace.*kTotal);
+}
+
+/// Every per-run metric, once. Row order is the order of
+/// StatsBundle::metrics and therefore of the checkpoint journal record:
+/// adding a metric is one row here plus a kVersion bump in
+/// sim/checkpoint.cpp.
+constexpr Metric kMetricTable[] = {
+    {sample<&SimTrace::total_cost>, &PolicyStats::total_cost},
+    {sample<&SimTrace::total_comm_cost>, &PolicyStats::comm_cost},
+    {sample<&SimTrace::total_migration_cost>, &PolicyStats::migration_cost},
+    {sample<&SimTrace::total_vnf_migrations>, &PolicyStats::vnf_migrations},
+    {sample<&SimTrace::total_vm_migrations>, &PolicyStats::vm_migrations},
+    {sample<&SimTrace::total_recovery_migrations>,
+     &PolicyStats::recovery_migrations},
+    {sample<&SimTrace::total_recovery_cost>, &PolicyStats::recovery_cost},
+    {sample<&SimTrace::quarantined_flow_epochs>,
+     &PolicyStats::quarantined_flow_epochs},
+    {sample<&SimTrace::total_quarantine_penalty>,
+     &PolicyStats::quarantine_penalty},
+    {sample<&SimTrace::downtime_epochs>, &PolicyStats::downtime_epochs},
+    {sample<&SimTrace::total_truncated_solves>, &PolicyStats::truncated_solves},
+    {sample<&SimTrace::ladder_transitions>, &PolicyStats::ladder_transitions},
+    {sample<&SimTrace::refresh_only_epochs>, &PolicyStats::refresh_only_epochs},
+    {sample<&SimTrace::frozen_epochs>, &PolicyStats::frozen_epochs},
+    {sample<&SimTrace::policy_failures>, &PolicyStats::policy_failures},
+    {sample<&SimTrace::total_shard_resolves>, &PolicyStats::shard_resolves},
+    {sample<&SimTrace::total_shard_holds>, &PolicyStats::shard_holds},
+    {sample<&SimTrace::quarantined_shard_epochs>,
+     &PolicyStats::quarantined_shard_epochs},
+    {sample<&SimTrace::total_shard_retries>, &PolicyStats::shard_retries},
+    {sample<&SimTrace::total_shard_penalty>, &PolicyStats::shard_penalty},
+};
+static_assert(std::size(kMetricTable) == StatsBundle::kMetrics,
+              "StatsBundle::kMetrics must count the metric table's rows");
 
 MeanCi mean_ci_of(const RunningStats& s) {
   return MeanCi{s.mean(), s.ci95_halfwidth()};
@@ -101,6 +92,28 @@ std::uint64_t attempt_seed(std::uint64_t seed, std::size_t trial,
 }
 
 }  // namespace
+
+void StatsBundle::add(const SimTrace& trace) {
+  for (std::size_t m = 0; m < kMetrics; ++m) {
+    metrics[m].add(kMetricTable[m].sample(trace));
+  }
+  for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
+    const EpochDecision& d = trace.epochs[h];
+    hourly_cost[h].add(d.comm_cost + d.migration_cost);
+    hourly_moves[h].add(
+        static_cast<double>(d.vnf_migrations + d.vm_migrations));
+  }
+}
+
+void StatsBundle::merge(const StatsBundle& other) {
+  for (std::size_t m = 0; m < kMetrics; ++m) {
+    metrics[m].merge(other.metrics[m]);
+  }
+  for (std::size_t h = 0; h < hourly_cost.size(); ++h) {
+    hourly_cost[h].merge(other.hourly_cost[h]);
+    hourly_moves[h].merge(other.hourly_moves[h]);
+  }
+}
 
 int resolve_experiment_threads(int requested) {
   if (requested >= 1) return requested;
@@ -404,33 +417,16 @@ std::vector<PolicyStats> run_experiment(
     const StatsBundle& b = acc[pi];
     PolicyStats s;
     s.name = policies[pi]->name();
-    s.total_cost = mean_ci_of(b.total);
-    s.comm_cost = mean_ci_of(b.comm);
-    s.migration_cost = mean_ci_of(b.migration);
-    s.vnf_migrations = mean_ci_of(b.vnf_moves);
-    s.vm_migrations = mean_ci_of(b.vm_moves);
-    s.recovery_migrations = mean_ci_of(b.recovery_moves);
-    s.recovery_cost = mean_ci_of(b.recovery_cost);
-    s.quarantined_flow_epochs = mean_ci_of(b.quarantined);
-    s.quarantine_penalty = mean_ci_of(b.penalty);
-    s.downtime_epochs = mean_ci_of(b.downtime);
-    s.truncated_solves = mean_ci_of(b.truncated);
-    s.ladder_transitions = mean_ci_of(b.ladder_transitions);
-    s.refresh_only_epochs = mean_ci_of(b.refresh_only);
-    s.frozen_epochs = mean_ci_of(b.frozen);
-    s.policy_failures = mean_ci_of(b.policy_failures);
-    s.shard_resolves = mean_ci_of(b.shard_resolves);
-    s.shard_holds = mean_ci_of(b.shard_holds);
-    s.quarantined_shard_epochs = mean_ci_of(b.shard_quarantines);
-    s.shard_retries = mean_ci_of(b.shard_retries);
-    s.shard_penalty = mean_ci_of(b.shard_penalty);
+    for (std::size_t m = 0; m < StatsBundle::kMetrics; ++m) {
+      s.*kMetricTable[m].stat = mean_ci_of(b.metrics[m]);
+    }
     s.hourly_cost.reserve(hours);
     s.hourly_migrations.reserve(hours);
     for (std::size_t h = 0; h < hours; ++h) {
       s.hourly_cost.push_back(mean_ci_of(b.hourly_cost[h]));
       s.hourly_migrations.push_back(mean_ci_of(b.hourly_moves[h]));
     }
-    s.completed_trials = static_cast<int>(b.total.count());
+    s.completed_trials = static_cast<int>(b.runs());
     s.failures = std::move(failures[pi]);
     stats.push_back(std::move(s));
   }

@@ -5,9 +5,9 @@
 // deterministic seed stream, runs every policy on identical copies of the
 // state, and aggregates totals plus per-hour series (Fig. 11(a)/(b) plot
 // the per-hour breakdown, Fig. 11(c)/(d) the totals). Each trial × policy
-// × hour rides the engine's incremental group-scaled cost-model refresh
-// (see sim/engine.hpp), which is what keeps Fig. 8/11-style sweeps with
-// tens of thousands of flows tractable.
+// × hour rides the epoch loop's incremental group-scaled cost-model
+// refresh (see sim/sharded.cpp), which is what keeps Fig. 8/11-style
+// sweeps with tens of thousands of flows tractable.
 //
 // Execution model: the trials × policies grid is decomposed into
 // independent SimJobs dispatched to a worker pool. Each job derives its
@@ -31,6 +31,7 @@
 // (ExperimentInterrupted) with the journal already flushed.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -142,18 +143,18 @@ struct PolicyStats {
 /// because the checkpoint journal persists one bundle per completed job
 /// (raw IEEE bits, sim/checkpoint.hpp) and must restore it bit-exactly.
 struct StatsBundle {
-  RunningStats total, comm, migration, vnf_moves, vm_moves, recovery_moves,
-      recovery_cost, quarantined, penalty, downtime, truncated,
-      ladder_transitions, refresh_only, frozen, policy_failures,
-      shard_resolves, shard_holds, shard_quarantines, shard_retries,
-      shard_penalty;
+  /// Number of per-run metrics: the rows of the metric table in
+  /// experiment.cpp, which names each one and fixes its journal order.
+  static constexpr std::size_t kMetrics = 20;
+
+  std::array<RunningStats, kMetrics> metrics;
   std::vector<RunningStats> hourly_cost, hourly_moves;
 
   explicit StatsBundle(std::size_t hours = 0)
       : hourly_cost(hours), hourly_moves(hours) {}
 
-  /// The 20 scalar accumulators, in journal serialization order.
-  static constexpr std::size_t kScalarFields = 20;
+  /// Runs accumulated so far (every metric counts each run once).
+  std::size_t runs() const noexcept { return metrics[0].count(); }
 
   void add(const SimTrace& trace);
   void merge(const StatsBundle& other);

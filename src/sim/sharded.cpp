@@ -304,10 +304,10 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
 
   // Sharded runtime invariant auditing (sim/audit.hpp, DESIGN.md §15):
   // one per-run checker that re-derives every shard's epoch from scratch.
-  std::unique_ptr<ShardedInvariantAuditor> auditor;
+  std::unique_ptr<InvariantAuditor> auditor;
   if (config.audit.enabled) {
-    auditor = std::make_unique<ShardedInvariantAuditor>(
-        config.audit, policy_name, shard_names);
+    auditor = std::make_unique<InvariantAuditor>(config.audit, policy_name,
+                                                 shard_names);
   }
 
   TraceRecorder recorder;
@@ -859,7 +859,7 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
         sc.n = n;
         auditor->check_shard_epoch(sc);
       }
-      ShardedAuditContext gc;
+      EpochAuditContext gc;
       gc.epoch = hour;
       gc.shards = &shards;
       gc.global_flows = &workload.flows();

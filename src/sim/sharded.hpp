@@ -31,9 +31,8 @@
 // exactly on the refreshed model, SLA-penalized via `quarantine_sla` —
 // while the other shards keep solving; seeded-backoff re-solve attempts
 // (on_shard_retry) end the quarantine once a retry completes. Runtime
-// invariant auditing (SimConfig::audit) attaches a
-// ShardedInvariantAuditor that re-derives every shard's epoch from
-// scratch.
+// invariant auditing (SimConfig::audit) attaches an InvariantAuditor
+// that re-derives every shard's epoch from scratch.
 //
 // Epoch checkpointing: with `epoch_journal` set, the run journals every
 // merged epoch decision plus a full resume-state frame (per-shard

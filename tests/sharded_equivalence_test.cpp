@@ -268,7 +268,7 @@ TEST(ShardedEquivalence, MonolithicOnlyFeaturesAreRejected) {
                  PpdcError);
   }
   // SimConfig::audit is no longer monolithic-only: the sharded engine
-  // attaches a ShardedInvariantAuditor and a clean run passes with full
+  // attaches an InvariantAuditor and a clean run passes with full
   // epoch coverage.
   {
     StreamingWorkload workload(topo, workload_config(40),

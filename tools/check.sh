@@ -219,6 +219,26 @@ for resume_build in build-asan build-tsan; do
 done
 
 # ---------------------------------------------------------------------------
+# Stage 6b: journal codec unit tests under ASan + UBSan (optional; needs
+# the sanitize preset built). checkpoint_test feeds both journal readers
+# truncated, bit-flipped and CRC-valid-but-hostile frames, so every
+# bounds check of the codec runs instrumented.
+# ---------------------------------------------------------------------------
+ASAN_CHECKPOINT=build-asan/tests/checkpoint_test
+if [ -x "$ASAN_CHECKPOINT" ]; then
+  note "journal codec (asan): $ASAN_CHECKPOINT"
+  if "$ASAN_CHECKPOINT" > /dev/null; then
+    echo "   OK: checkpoint_test is clean under ASan + UBSan"
+  else
+    echo "   FAIL: checkpoint_test failed under ASan + UBSan" >&2
+    failures=$((failures + 1))
+  fi
+else
+  note "journal codec (asan): SKIPPED (no $ASAN_CHECKPOINT — build the" \
+       "sanitize preset first)"
+fi
+
+# ---------------------------------------------------------------------------
 # Stage 7: BENCH_*.json perf-trajectory gate (optional; needs the bench
 # preset built plus committed baselines in bench/baselines/). Runs the
 # pinned micro-kernel scenarios in smoke mode and rejects >tolerance
