@@ -98,8 +98,10 @@ PlacementResult solve_top_dp(const CostModel& model, int n,
   const std::vector<NodeId> ingress_candidates = top_candidates(
       switches, options.candidate_limit,
       [&](NodeId w) { return model.ingress_attraction(w); });
+  // One metric closure serves every egress table of this call.
+  const StrollMetric metric(apsp, rate, switches);
   for (const NodeId egress : egress_candidates) {
-    StrollTable table(apsp, egress, rate, switches);
+    StrollTable table(metric, egress);
     for (const NodeId ingress : ingress_candidates) {
       if (ingress == egress) continue;
       StrollResult stroll = table.find(ingress, n - 2);

@@ -11,11 +11,6 @@ namespace ppdc {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Candidate-scan tile width of extend(): the shared previous-level cost
-/// and successor segments (kBlock doubles + kBlock NodeIds) stay L1-hot
-/// while every row re-scans them.
-constexpr std::size_t kBlock = 256;
-
 /// Rate-scales one APSP row through the candidate gather into a metric
 /// row. __restrict is what lets the compiler emit the vectorized gather
 /// here — without it the mrow stores may alias the inputs and the loop
@@ -27,15 +22,55 @@ void build_metric_row(double* __restrict mrow, const double* __restrict arow,
     mrow[k] = rate * arow[static_cast<std::size_t>(sw[k])];
   }
 }
+
+struct Argmin {
+  double value;
+  std::size_t index;
+};
+
+/// argmin over k < n of m[k] + c[k]: the smallest sum, and the smallest k
+/// attaining it — the candidate a left-to-right strict-< scan picks.
+/// Four independent (value, first index) lanes break the compare chain of
+/// a single running minimum; each lane keeps its first minimum with a
+/// strict <, and the lanes combine by value, then index. Every sum is the
+/// same single add as in that scan, so the result is bit-identical to it.
+/// When every sum is +inf the index is meaningless.
+Argmin lane_argmin(const double* __restrict m, const double* __restrict c,
+                   std::size_t n) {
+  constexpr std::size_t kLanes = 4;
+  double best[kLanes] = {kInf, kInf, kInf, kInf};
+  std::size_t at[kLanes] = {0, 0, 0, 0};
+  const std::size_t body = n - n % kLanes;
+  for (std::size_t k = 0; k < body; k += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const double v = m[k + j] + c[k + j];
+      const bool lt = v < best[j];
+      best[j] = lt ? v : best[j];
+      at[j] = lt ? k + j : at[j];
+    }
+  }
+  for (std::size_t k = body; k < n; ++k) {
+    const double v = m[k] + c[k];
+    if (v < best[k - body]) {
+      best[k - body] = v;
+      at[k - body] = k;
+    }
+  }
+  Argmin out{best[0], at[0]};
+  for (std::size_t j = 1; j < kLanes; ++j) {
+    if (best[j] < out.value || (best[j] == out.value && at[j] < out.index)) {
+      out = {best[j], at[j]};
+    }
+  }
+  return out;
+}
 }  // namespace
 
-StrollTable::StrollTable(const AllPairs& apsp, NodeId destination,
-                         double rate, std::vector<NodeId> universe)
-    : apsp_(&apsp), t_(destination), rate_(rate) {
+StrollMetric::StrollMetric(const AllPairs& apsp, double rate,
+                           std::vector<NodeId> universe)
+    : apsp_(&apsp), rate_(rate) {
   PPDC_REQUIRE(rate > 0.0, "stroll rate must be positive");
   const Graph& g = apsp.graph();
-  PPDC_REQUIRE(destination >= 0 && destination < g.num_nodes(),
-               "destination out of range");
   if (universe.empty()) {
     switches_ = IndexedVector<CandidateIdx, NodeId>(g.switches());
   } else {
@@ -45,33 +80,62 @@ StrollTable::StrollTable(const AllPairs& apsp, NodeId destination,
     }
     switches_ = IndexedVector<CandidateIdx, NodeId>(std::move(universe));
   }
-  rows_ = switches_.size();
-  switch_index_.assign(static_cast<std::size_t>(g.num_nodes()),
-                       CandidateIdx::invalid());
+  row_of_.assign(static_cast<std::size_t>(g.num_nodes()),
+                 CandidateIdx::invalid());
   for (const CandidateIdx i : switches_.ids()) {
-    switch_index_[static_cast<std::size_t>(switches_[i])] = i;
+    CandidateIdx& slot = row_of_[static_cast<std::size_t>(switches_[i])];
+    PPDC_REQUIRE(!slot.valid(), "stroll universe entries must be distinct");
+    slot = i;
+  }
+  const std::size_t n = rows();
+  metric_.resize(n * n);
+  const NodeId* sw = switches_.raw().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    build_metric_row(metric_.data() + i * n, apsp.cost_row(sw[i]), sw, n,
+                     rate);
   }
 }
 
-void StrollTable::ensure_metric() {
-  if (!metric_.empty() || rows_ == 0) return;
-  metric_.resize(rows_ * rows_);
+StrollTable::StrollTable(const AllPairs& apsp, NodeId destination,
+                         double rate, std::vector<NodeId> universe)
+    : StrollTable(
+          std::make_unique<const StrollMetric>(apsp, rate, std::move(universe)),
+          destination) {}
+
+StrollTable::StrollTable(std::unique_ptr<const StrollMetric> owned,
+                         NodeId destination)
+    : StrollTable(*owned, destination) {
+  owned_ = std::move(owned);
+}
+
+StrollTable::StrollTable(const StrollMetric& metric, NodeId destination)
+    : m_(&metric), t_(destination), rows_(metric.rows()) {
+  const AllPairs& apsp = metric.apsp();
+  PPDC_REQUIRE(destination >= 0 && destination < apsp.graph().num_nodes(),
+               "destination out of range");
   metric_to_t_.resize(rows_);
-  const NodeId* sw = switches_.raw().data();
+  const NodeId* sw = metric.switches().raw().data();
   for (std::size_t i = 0; i < rows_; ++i) {
-    const double* arow = apsp_->cost_row(sw[i]);
-    build_metric_row(metric_.data() + i * rows_, arow, sw, rows_, rate_);
-    metric_to_t_[i] = rate_ * arow[static_cast<std::size_t>(t_)];
+    metric_to_t_[i] =
+        metric.rate() *
+        apsp.cost_row(sw[i])[static_cast<std::size_t>(destination)];
   }
 }
 
 void StrollTable::extend(int e_max) {
   if (levels_ >= e_max) return;
-  ensure_metric();
   const std::size_t rows = rows_;
   cost_.resize(static_cast<std::size_t>(e_max) * rows, kInf);
   succ_.resize(static_cast<std::size_t>(e_max) * rows, kInvalidNode);
-  const NodeId* sw = switches_.raw().data();
+  const NodeId* sw = m_->switches().raw().data();
+  const CandidateIdx t_row = m_->row_of(t_);
+  // Level scratch: the previous cost row with every excluded candidate
+  // of the current row masked to +inf, and the inverse successor buckets
+  // as linked lists: head[u] -> next[k] -> ... lists the candidates k
+  // whose stored continuation returns to row u.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<double> masked(rows);
+  std::vector<std::size_t> head(rows), next(rows);
   while (levels_ < e_max) {
     const int e = levels_ + 1;
     double* ce = cost_.data() + static_cast<std::size_t>(e - 1) * rows;
@@ -86,33 +150,35 @@ void StrollTable::extend(int e_max) {
     } else {
       const double* pc = ce - rows;
       const NodeId* ps = se - rows;
-      // Tiled candidate min-scan: the k tile of the shared previous-level
-      // rows stays cache-resident while every row i streams its metric
-      // segment past it. ce/se are the running best per row; tiles arrive
-      // in increasing k, so the strict-< argmin picks the same candidate
-      // as a single left-to-right scan.
-      for (std::size_t k0 = 0; k0 < rows; k0 += kBlock) {
-        const std::size_t k1 = std::min(rows, k0 + kBlock);
-        for (std::size_t i = 0; i < rows; ++i) {
-          const NodeId u = sw[i];
-          const double* mrow = metric_.data() + i * rows;
-          double best = ce[i];
-          NodeId best_w = se[i];
-          for (std::size_t k = k0; k < k1; ++k) {
-            const NodeId w = sw[k];
-            // Line 6, branchless: intermediate w may be neither u itself
-            // nor t, and the stored continuation from w must not
-            // immediately return to u. An excluded (or unreachable)
-            // candidate costs +inf and never wins the strict <.
-            const bool ok = (w != u) && (w != t_) && (ps[k] != u);
-            const double cand = ok ? mrow[k] + pc[k] : kInf;
-            if (cand < best) {
-              best = cand;
-              best_w = w;
-            }
-          }
-          ce[i] = best;
-          se[i] = best_w;
+      // Line 6 excludes, for row u, the candidates w == u, w == t and
+      // those whose continuation immediately returns to u. The t entry is
+      // masked for the whole level; the other two are masked per row and
+      // restored after its scan.
+      auto base = [&](std::size_t k) {
+        return t_row.valid() && k == static_cast<std::size_t>(t_row.value())
+                   ? kInf
+                   : pc[k];
+      };
+      for (std::size_t k = 0; k < rows; ++k) masked[k] = base(k);
+      std::fill(head.begin(), head.end(), kNone);
+      for (std::size_t k = 0; k < rows; ++k) {
+        if (ps[k] == kInvalidNode) continue;
+        const CandidateIdx u = m_->row_of(ps[k]);
+        if (!u.valid()) continue;
+        next[k] = head[static_cast<std::size_t>(u.value())];
+        head[static_cast<std::size_t>(u.value())] = k;
+      }
+      for (std::size_t i = 0; i < rows; ++i) {
+        masked[i] = kInf;
+        for (std::size_t k = head[i]; k != kNone; k = next[k]) {
+          masked[k] = kInf;
+        }
+        const Argmin a = lane_argmin(m_->row(i), masked.data(), rows);
+        ce[i] = a.value;
+        se[i] = a.value < kInf ? sw[a.index] : kInvalidNode;
+        masked[i] = base(i);
+        for (std::size_t k = head[i]; k != kNone; k = next[k]) {
+          masked[k] = base(k);
         }
       }
     }
@@ -124,19 +190,20 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
   PPDC_REQUIRE(e >= 1 && e <= levels_, "edge budget not materialized");
   if (e == 1) {
     if (s == t_) return {kInf, kInvalidNode};
-    return {metric(s, t_), t_};
+    return {m_->cost(s, t_), t_};
   }
   const double* pc = cost_row(e - 1);
   const NodeId* ps = succ_row(e - 1);
-  const double* srow = apsp_->cost_row(s);
-  const NodeId* sw = switches_.raw().data();
+  const double* srow = m_->apsp().cost_row(s);
+  const NodeId* sw = m_->switches().raw().data();
+  const double rate = m_->rate();
   double best = kInf;
   NodeId best_w = kInvalidNode;
   for (std::size_t k = 0; k < rows_; ++k) {
     const NodeId w = sw[k];
     const bool ok = (w != s) && (w != t_) && (ps[k] != s);
     const double cand =
-        ok ? rate_ * srow[static_cast<std::size_t>(w)] + pc[k] : kInf;
+        ok ? rate * srow[static_cast<std::size_t>(w)] + pc[k] : kInf;
     if (cand < best) {
       best = cand;
       best_w = w;
@@ -146,11 +213,11 @@ std::pair<double, NodeId> StrollTable::source_row(NodeId s, int e) const {
 }
 
 StrollResult StrollTable::find(NodeId s, int n_distinct) {
-  const Graph& g = apsp_->graph();
+  const Graph& g = m_->apsp().graph();
   PPDC_REQUIRE(s >= 0 && s < g.num_nodes(), "source out of range");
   PPDC_REQUIRE(n_distinct >= 0, "negative distinct requirement");
   // Switches available as intermediates (s and t do not count).
-  int usable = static_cast<int>(switches_.size());
+  int usable = static_cast<int>(rows_);
   if (g.is_switch(s)) --usable;
   if (g.is_switch(t_) && t_ != s) --usable;
   PPDC_REQUIRE(n_distinct <= usable,
@@ -167,7 +234,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
       out.edges_used = 0;
       return out;
     }
-    out.cost = metric(s, t_);
+    out.cost = m_->cost(s, t_);
     out.walk = {s, t_};
     out.edges_used = 1;
     return out;
@@ -192,7 +259,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     while (true) {
       walk.push_back(cur);
       if (cur != s && cur != t_ && g.is_switch(cur)) {
-        const CandidateIdx row = switch_index_[static_cast<std::size_t>(cur)];
+        const CandidateIdx row = m_->row_of(cur);
         PPDC_REQUIRE(row.valid(), "walk visits a non-universe switch");
         char& mark = seen[static_cast<std::size_t>(row.value())];
         if (!mark) {
@@ -201,7 +268,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
         }
       }
       if (budget == 0) break;
-      const CandidateIdx row = switch_index_[static_cast<std::size_t>(cur)];
+      const CandidateIdx row = m_->row_of(cur);
       PPDC_REQUIRE(row.valid(), "walk stepped outside the switch universe");
       cur = succ_row(budget)[static_cast<std::size_t>(row.value())];
       PPDC_REQUIRE(cur != kInvalidNode, "broken successor chain");
@@ -222,8 +289,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
     }
     // Clear only the bits this round set (distinct is tiny next to rows_).
     for (const NodeId w : distinct) {
-      seen[static_cast<std::size_t>(
-          switch_index_[static_cast<std::size_t>(w)].value())] = 0;
+      seen[static_cast<std::size_t>(m_->row_of(w).value())] = 0;
     }
   }
 
@@ -233,13 +299,12 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   std::vector<NodeId> seq = best_partial;
   // `seen` is all-clear here; reuse it as the membership bitmap of `seq`.
   for (const NodeId w : seq) {
-    seen[static_cast<std::size_t>(
-        switch_index_[static_cast<std::size_t>(w)].value())] = 1;
+    seen[static_cast<std::size_t>(m_->row_of(w).value())] = 1;
   }
-  const NodeId* sw = switches_.raw().data();
+  const NodeId* sw = m_->switches().raw().data();
   while (static_cast<int>(seq.size()) < n_distinct) {
     const NodeId from = seq.empty() ? s : seq.back();
-    const double* frow = apsp_->cost_row(from);
+    const double* frow = m_->apsp().cost_row(from);
     double best_d = kInf;
     NodeId best_sw = kInvalidNode;
     std::size_t best_row = 0;
@@ -262,7 +327,7 @@ StrollResult StrollTable::find(NodeId s, int n_distinct) {
   out.walk.push_back(t_);
   out.cost = 0.0;
   for (std::size_t i = 0; i + 1 < out.walk.size(); ++i) {
-    out.cost += metric(out.walk[i], out.walk[i + 1]);
+    out.cost += m_->cost(out.walk[i], out.walk[i + 1]);
   }
   out.placement = std::move(seq);
   out.edges_used = static_cast<int>(out.walk.size()) - 1;
@@ -278,7 +343,7 @@ bool StrollTable::satisfies_theorem3(const StrollResult& result) const {
   // stroll into t over every possible start row.
   for (int i = 1; i < r; ++i) {
     const NodeId u = result.walk[static_cast<std::size_t>(i)];
-    const CandidateIdx row = switch_index_[static_cast<std::size_t>(u)];
+    const CandidateIdx row = m_->row_of(u);
     if (!row.valid()) return false;
     const double* level = cost_row(r - i);
     const double suffix = level[static_cast<std::size_t>(row.value())];

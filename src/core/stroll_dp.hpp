@@ -26,6 +26,8 @@
 //    any paper-scale experiment; it exists so the API is total.
 #pragma once
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -45,17 +47,59 @@ struct StrollResult {
   bool used_fallback = false;     ///< true if the greedy completion kicked in
 };
 
+/// Rate-scaled metric closure over a DP row universe (DESIGN.md §11).
+/// The StrollTables of one Algorithm 3 solve differ only in their
+/// destination, so they share one closure: the switch rows, the
+/// NodeId -> row index and the rows × rows scaled metric are built once
+/// per solve_top_dp call instead of once per egress candidate.
+class StrollMetric {
+ public:
+  /// `rate` scales every metric distance (the λ_1 of TOP-1, or Λ when the
+  /// tables are used inside Algorithm 3's chain placement). A non-empty
+  /// `universe` restricts the DP rows (and hence every intermediate and
+  /// fallback switch) to the given distinct switches — the fault-tolerant
+  /// solvers pass CostModel::placement_candidates() so strolls never route
+  /// through failed switches; empty means every switch of the topology.
+  StrollMetric(const AllPairs& apsp, double rate,
+               std::vector<NodeId> universe = {});
+
+  const AllPairs& apsp() const noexcept { return *apsp_; }
+  double rate() const noexcept { return rate_; }
+  std::size_t rows() const noexcept { return switches_.size(); }
+  /// DP row universe: CandidateIdx is the row id, the value the switch.
+  const IndexedVector<CandidateIdx, NodeId>& switches() const noexcept {
+    return switches_;
+  }
+  /// NodeId -> row; CandidateIdx::invalid() for nodes outside the universe.
+  CandidateIdx row_of(NodeId v) const {
+    return row_of_[static_cast<std::size_t>(v)];
+  }
+  /// Scaled metric row i: row(i)[k] = rate · c(switch i, switch k).
+  const double* row(std::size_t i) const {
+    return metric_.data() + i * rows();
+  }
+  /// rate · c(u, v) for any two nodes, hosts included.
+  double cost(NodeId u, NodeId v) const { return rate_ * apsp_->cost(u, v); }
+
+ private:
+  const AllPairs* apsp_;
+  double rate_;
+  IndexedVector<CandidateIdx, NodeId> switches_;
+  std::vector<CandidateIdx> row_of_;
+  std::vector<double> metric_;  ///< rows × rows, row-major
+};
+
 /// Per-destination DP table of Algorithm 2.
 class StrollTable {
  public:
-  /// `rate` scales every metric distance (the λ_1 of TOP-1, or Λ when the
-  /// table is used inside Algorithm 3's chain placement). A non-empty
-  /// `universe` restricts the DP rows (and hence every intermediate and
-  /// fallback switch) to the given switches — the fault-tolerant solvers
-  /// pass CostModel::placement_candidates() so strolls never route through
-  /// failed switches; empty means every switch of the topology.
+  /// Builds and owns the metric closure of (apsp, rate, universe); see
+  /// StrollMetric for the meaning of `rate` and `universe`.
   StrollTable(const AllPairs& apsp, NodeId destination, double rate = 1.0,
               std::vector<NodeId> universe = {});
+
+  /// Borrows `metric`, which must outlive the table.
+  StrollTable(const StrollMetric& metric, NodeId destination);
+  StrollTable(const StrollMetric&& metric, NodeId destination) = delete;
 
   /// Finds a min-cost stroll from `s` to the table's destination visiting
   /// at least `n_distinct` distinct switches (excluding s and the
@@ -71,23 +115,18 @@ class StrollTable {
   bool satisfies_theorem3(const StrollResult& result) const;
 
   NodeId destination() const noexcept { return t_; }
-  double rate() const noexcept { return rate_; }
+  double rate() const noexcept { return m_->rate(); }
 
  private:
+  StrollTable(std::unique_ptr<const StrollMetric> owned,
+              NodeId destination);
+
   /// Extends the DP table to edge budget `e_max` (rows 1..e_max).
   void extend(int e_max);
-
-  /// Materializes the flat metric closure over the row universe on first
-  /// use: metric_[i * rows_ + k] = rate · c(switches_[i], switches_[k]).
-  void ensure_metric();
 
   /// Cost of the best e-edge stroll from source `s` (possibly a host, not
   /// in the switch rows) plus its first hop.
   std::pair<double, NodeId> source_row(NodeId s, int e) const;
-
-  double metric(NodeId u, NodeId v) const {
-    return rate_ * apsp_->cost(u, v);
-  }
 
   /// Level-e cost row (e in [1, levels_]); contiguous over CandidateIdx.
   const double* cost_row(int e) const {
@@ -103,20 +142,14 @@ class StrollTable {
     return succ_.data() + static_cast<std::size_t>(e - 1) * rows_;
   }
 
-  const AllPairs* apsp_;
+  std::unique_ptr<const StrollMetric> owned_;  ///< null when borrowed
+  const StrollMetric* m_;
   NodeId t_;
-  double rate_;
-  /// DP row universe: CandidateIdx is the row id, the value the switch.
-  IndexedVector<CandidateIdx, NodeId> switches_;
-  /// NodeId -> row; CandidateIdx::invalid() for nodes outside the universe.
-  std::vector<CandidateIdx> switch_index_;
   /// Flat structure-of-arrays DP state (DESIGN.md §11). The per-level
   /// tables live in two contiguous level-major buffers so the candidate
-  /// min-scan of extend() is a plain index loop over double rows — no
-  /// per-candidate vector hops, and the compiler sees unit strides.
-  std::size_t rows_ = 0;  ///< switches_.size(), the row stride
+  /// min-scan of extend() is a plain index loop over double rows.
+  std::size_t rows_ = 0;  ///< m_->rows(), the row stride
   int levels_ = 0;        ///< materialized edge budgets 1..levels_
-  std::vector<double> metric_;       ///< rows_ × rows_ scaled metric closure
   std::vector<double> metric_to_t_;  ///< rate · c(row, t), one per row
   std::vector<double> cost_;  ///< cost_[(e-1)·rows_ + row]: best e-edge stroll
   std::vector<NodeId> succ_;  ///< first hop of that stroll (kInvalidNode: none)

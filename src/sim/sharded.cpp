@@ -77,6 +77,52 @@ int required_clean_epochs(int shard, int fail_streak, int recovery_epochs) {
   return recovery_epochs + backoff + jitter;
 }
 
+/// Runs `body(s)` for every shard s on up to `pool` threads, or in shard
+/// order on the calling thread when `pool` <= 1, and returns the error of
+/// the first failing shard in shard order (null when none failed). Workers
+/// pull shards from a shared counter and stop pulling once `stop()` turns
+/// true; the serial path also stops at its first error. Shards touch only
+/// their own state, so the outcome is the same at every pool size.
+template <class Body, class Stop>
+std::exception_ptr for_each_shard(int num_shards, int pool, Body&& body,
+                                  Stop&& stop) {
+  std::vector<std::exception_ptr> errors(
+      static_cast<std::size_t>(num_shards));
+  if (pool <= 1) {
+    for (int s = 0; s < num_shards; ++s) {
+      if (stop()) break;
+      try {
+        body(s);
+      } catch (...) {
+        errors[static_cast<std::size_t>(s)] = std::current_exception();
+        break;
+      }
+    }
+  } else {
+    std::atomic<int> next{0};
+    auto worker = [&]() noexcept {
+      for (;;) {
+        if (stop()) return;
+        const int s = next.fetch_add(1, std::memory_order_relaxed);
+        if (s >= num_shards) return;
+        try {
+          body(s);
+        } catch (...) {
+          errors[static_cast<std::size_t>(s)] = std::current_exception();
+        }
+      }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(pool));
+    for (int t = 0; t < pool; ++t) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) return e;
+  }
+  return nullptr;
+}
+
 /// The epoch loop. Each shard runs its own clone of `prototype`, cloned
 /// in shard order — or, when `lent` is non-null (single-shard maps only),
 /// the lent instance itself.
@@ -136,6 +182,9 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
 
   ShardedCostModel shards(apsp, map, workload.flows(), n_groups);
   const int num_shards = shards.num_shards();
+  // Worker threads of the shard pool (hour-0 solve and epoch shard phase).
+  const int pool =
+      std::min(resolve_experiment_threads(sharded.threads), num_shards);
   auto scales_at = [&](Hour hour) {
     return config.diurnal.group_scales(hour, n_groups);
   };
@@ -276,10 +325,10 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
               << config.hours << " epochs already journaled\n";
   } else {
     // Hour 0: per-shard initial traffic-optimal placement (TOP,
-    // Algorithm 3) on the pristine fabric.
+    // Algorithm 3) on the pristine fabric, on the shard pool.
     const std::vector<double> scales0 = scales_at(Hour{0});
     load_schedule(Hour{0});
-    for (int s = 0; s < num_shards; ++s) {
+    auto initial_solve = [&](int s) {
       ShardedCostModel::Shard& sh = shards.shard(s);
       set_rates(sh.flows, shard_rates(sh, Hour{0}));
       if (scheduled) {
@@ -289,6 +338,10 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
       }
       runs[static_cast<std::size_t>(s)].placement =
           solve_top_dp(*sh.model, n, config.initial_placement).placement;
+    };
+    if (const std::exception_ptr e = for_each_shard(
+            num_shards, pool, initial_solve, [] { return false; })) {
+      std::rethrow_exception(e);
     }
     merged_initial.reserve(static_cast<std::size_t>(num_shards * n));
     for (const ShardRun& run : runs) {
@@ -358,8 +411,6 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
     }
   }
 
-  const int pool_want = resolve_experiment_threads(sharded.threads);
-
   for (const Hour hour : id_range(Hour{start_epoch}, Hour{config.hours})) {
     if (config.cancel != nullptr &&
         config.cancel->load(std::memory_order_relaxed)) {
@@ -412,8 +463,6 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
     // Shards are independent; results merge in fixed shard order below.
     // Each shard executes at its *own* ladder rung.
     std::vector<ShardEpochResult> results(
-        static_cast<std::size_t>(num_shards));
-    std::vector<std::exception_ptr> errors(
         static_cast<std::size_t>(num_shards));
 
     // A VM-migration policy (PLAN/MCF) relocated endpoints in its copy
@@ -647,36 +696,8 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
     auto cancelled = [&]() {
       return cancel != nullptr && cancel->load(std::memory_order_relaxed);
     };
-    const int pool = std::min(pool_want, num_shards);
-    if (pool <= 1) {
-      for (int s = 0; s < num_shards; ++s) {
-        if (cancelled()) break;
-        try {
-          shard_epoch(s);
-        } catch (...) {
-          errors[static_cast<std::size_t>(s)] = std::current_exception();
-          break;
-        }
-      }
-    } else {
-      std::atomic<int> next{0};
-      auto worker = [&]() noexcept {
-        for (;;) {
-          if (cancelled()) return;
-          const int s = next.fetch_add(1, std::memory_order_relaxed);
-          if (s >= num_shards) return;
-          try {
-            shard_epoch(s);
-          } catch (...) {
-            errors[static_cast<std::size_t>(s)] = std::current_exception();
-          }
-        }
-      };
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(pool));
-      for (int t = 0; t < pool; ++t) threads.emplace_back(worker);
-      for (std::thread& t : threads) t.join();
-    }
+    const std::exception_ptr error =
+        for_each_shard(num_shards, pool, shard_epoch, cancelled);
     if (cancelled()) {
       emit([&](EpochObserver& o) { o.on_interrupted(hour); });
       throw SimInterrupted("simulation cancelled inside epoch " +
@@ -684,9 +705,7 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
                            std::to_string(config.hours));
     }
     // Deterministic error surfacing: first failing shard in pod order.
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+    if (error) std::rethrow_exception(error);
 
     // 6. Fixed-order merge: sums accumulate in shard order, so the
     // merged decision is a pure function of shard state — identical at

@@ -25,8 +25,10 @@
 #include "core/migration_pareto.hpp"
 #include "core/placement_dp.hpp"
 #include "core/stroll_dp.hpp"
+#include "fault/degraded.hpp"
 #include "graph/apsp.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/weights.hpp"
 #include "util/indexed_vector.hpp"
 #include "workload/vm_placement.hpp"
 
@@ -540,6 +542,137 @@ TEST(KernelEquivalence, FallbackCapPathMatchesSeed) {
   }
   EXPECT_EQ(got.cost, cost);
   EXPECT_FALSE(cur.satisfies_theorem3(got));
+}
+
+// ---------------------------------------------------------------------------
+// The masked multi-lane level scan (DESIGN.md §11) against the seed's
+// strict-< scan, on the inputs that stress its exclusions and tie rule:
+// one closure shared by many tables, weighted fabrics, host destinations
+// outside the row universe, and +inf metric entries of a split fabric.
+// ---------------------------------------------------------------------------
+
+// Queries `table` and a fresh seed table for the same destination in the
+// same order and expects bit-equal answers.
+template <class Table>
+void expect_table_matches_seed(Table& table, RefStrollTable& ref,
+                               const std::vector<NodeId>& sources,
+                               const std::vector<int>& ns) {
+  for (const NodeId s : sources) {
+    for (const int n : ns) {
+      SCOPED_TRACE(::testing::Message() << "s=" << s << " n=" << n);
+      const StrollResult got = table.find(s, n);
+      const StrollResult want = ref.find(s, n);
+      expect_stroll_eq(got, want);
+      EXPECT_EQ(table.satisfies_theorem3(got), ref.satisfies_theorem3(want));
+    }
+  }
+}
+
+TEST(KernelEquivalence, SharedClosureTablesMatchStandalone) {
+  const Topology topo = build_fat_tree(8);
+  const AllPairs apsp(topo.graph);
+  const auto& switches = topo.graph.switches();
+  const std::vector<NodeId> sources = {topo.graph.hosts()[9], switches[5],
+                                       switches[40]};
+  const double rate = 2.5;
+  const StrollMetric metric(apsp, rate);
+  for (const NodeId t : switches) {
+    SCOPED_TRACE(::testing::Message() << "t=" << t);
+    StrollTable shared(metric, t);
+    StrollTable alone(apsp, t, rate);
+    RefStrollTable ref_shared(apsp, t, rate);
+    RefStrollTable ref_alone(apsp, t, rate);
+    expect_table_matches_seed(shared, ref_shared, sources, {3, 5});
+    expect_table_matches_seed(alone, ref_alone, sources, {3, 5});
+  }
+}
+
+TEST(KernelEquivalence, WeightedFabricStrollMatchesSeed) {
+  Topology topo = build_fat_tree(8);
+  apply_uniform_delay_weights(topo.graph, 31);
+  const AllPairs apsp(topo.graph);
+  const auto& switches = topo.graph.switches();
+  const auto& hosts = topo.graph.hosts();
+  const std::vector<NodeId> sources = {hosts[2], hosts[100], switches[11]};
+  for (const NodeId t : {switches[0], switches[33], switches[70]}) {
+    SCOPED_TRACE(::testing::Message() << "t=" << t);
+    StrollTable cur(apsp, t, 1.75);
+    RefStrollTable ref(apsp, t, 1.75);
+    expect_table_matches_seed(cur, ref, sources, {1, 3, 5, 7});
+  }
+  // Algorithm 3 on the same fabric, where the chain placement scores
+  // every table's answer.
+  const auto flows = workload(topo, 150, 29);
+  const CostModel cm(apsp, flows);
+  for (const int n : {3, 6}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    expect_placement_eq(solve_top_dp(cm, n), ref_solve_top_dp(cm, n));
+  }
+}
+
+TEST(KernelEquivalence, HostDestinationTop1MatchesSeed) {
+  const Topology topo = build_fat_tree(8);
+  const AllPairs apsp(topo.graph);
+  const auto& hosts = topo.graph.hosts();
+  // t is a host, so it has no DP row: no candidate is masked as "t", and
+  // every level-1 successor is the out-of-universe t.
+  for (const auto& [s, t] : {std::pair{hosts[0], hosts[1]},
+                             std::pair{hosts[3], hosts[120]},
+                             std::pair{hosts[64], hosts[64]}}) {
+    for (const int n : {1, 2, 3, 5, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "s=" << s << " t=" << t << " n=" << n);
+      RefStrollTable ref(apsp, t, 0.5);
+      expect_stroll_eq(solve_top1_dp(apsp, s, t, n, 0.5), ref.find(s, n));
+    }
+  }
+}
+
+TEST(KernelEquivalence, DegradedFabricStrollMatchesSeed) {
+  // Killing pod 0's aggregation switches cuts its edge switches (and
+  // their hosts) off the rest of the fabric: the disconnected APSP holds
+  // +inf between the two parts, and rows of the cut-off part find no
+  // stroll at any level.
+  const Topology topo = build_fat_tree(8);
+  const Graph& g = topo.graph;
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : g.switches()) {
+    if (g.label(v).rfind("agg0_", 0) == 0) {
+      dead[static_cast<std::size_t>(v)] = 1;
+    }
+  }
+  const DegradedNetwork net(g, dead, {});
+  const AllPairs& apsp = net.apsp();
+  std::vector<NodeId> universe;
+  int kept = 0;
+  for (const NodeId v : g.switches()) {
+    if (dead[static_cast<std::size_t>(v)]) continue;
+    if (kept++ % 3 != 2) universe.push_back(v);
+  }
+  const double rate = 1.5;
+  const StrollMetric metric(apsp, rate, universe);
+  bool split = false;
+  for (std::size_t i = 0; i < metric.rows(); ++i) {
+    for (std::size_t k = 0; k < metric.rows(); ++k) {
+      split = split || metric.row(i)[k] == kInf;
+    }
+  }
+  ASSERT_TRUE(split) << "the universe must span both parts of the fabric";
+
+  std::vector<NodeId> sources = {g.hosts().back()};
+  for (const NodeId v : universe) {
+    if (net.in_core(v)) {
+      sources.push_back(v);
+      break;
+    }
+  }
+  for (const NodeId t : {universe[universe.size() / 2], universe.back()}) {
+    SCOPED_TRACE(::testing::Message() << "t=" << t);
+    ASSERT_TRUE(net.in_core(t));
+    StrollTable shared(metric, t);
+    RefStrollTable ref(apsp, t, rate, universe);
+    expect_table_matches_seed(shared, ref, sources, {1, 3, 5});
+  }
 }
 
 // ---------------------------------------------------------------------------

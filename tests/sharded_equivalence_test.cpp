@@ -5,8 +5,9 @@
 //     — every trace total and every per-epoch decision field, pristine and
 //     faulted.
 //   * Over the multi-shard pod map, the trace is a pure function of the
-//     seed: 1 worker thread and 4 worker threads produce bit-identical
-//     traces under churn, faults, and bounded-staleness holds.
+//     seed: 1, 2 and 4 worker threads produce bit-identical traces (the
+//     hour-0 placement included) under churn, faults, and
+//     bounded-staleness holds.
 //   * Held shards charge exact costs: with a hold-everything threshold and
 //     a placement-stable policy, the trace matches the resolve-every-epoch
 //     run bit for bit.
@@ -188,6 +189,25 @@ TEST(ShardedEquivalence, MultiShardThreadCountInvariant) {
   expect_equal_traces(serial, parallel);
   // Active faults force re-solves, so this run resolves throughout.
   EXPECT_GT(serial.total_shard_resolves, 0);
+}
+
+TEST(ShardedEquivalence, PooledHourZeroThreadCountInvariant) {
+  // The hour-0 TOP solve runs on the shard pool like every epoch's shard
+  // phase. With resolve_churn_fraction 0 every shard also re-solves every
+  // epoch, so 1, 2 and 4 threads run all the pool's solves.
+  StreamingChurnConfig churn;
+  churn.arrivals_per_epoch = 20;
+  churn.departure_prob = 0.1;
+  churn.rerate_prob = 0.2;
+  const SimTrace serial = run_pod_sharded(1, 0.0, 3, false, churn);
+  EXPECT_EQ(serial.total_shard_holds, 0);
+  EXPECT_FALSE(serial.initial_placement.empty());
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const SimTrace pooled = run_pod_sharded(threads, 0.0, 3, false, churn);
+    EXPECT_EQ(pooled.initial_placement, serial.initial_placement);
+    expect_equal_traces(serial, pooled);
+  }
 }
 
 TEST(ShardedEquivalence, LightChurnHoldsAndStaysThreadInvariant) {

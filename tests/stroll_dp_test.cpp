@@ -207,6 +207,19 @@ TEST(StrollDp, RejectsImpossibleQuota) {
   EXPECT_THROW(solve_top1_dp(apsp, h1, h2, 2, 0.0), PpdcError);
 }
 
+TEST(StrollDp, RejectsMalformedUniverse) {
+  // The level scan masks a candidate by its row, so a switch listed twice
+  // would escape the "w != u" exclusion through its second row.
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const auto& sw = topo.graph.switches();
+  const NodeId host = topo.graph.hosts()[0];
+  EXPECT_THROW(StrollMetric(apsp, 1.0, {sw[0], sw[1], sw[0]}), PpdcError);
+  EXPECT_THROW(StrollMetric(apsp, 1.0, {sw[0], host}), PpdcError);
+  EXPECT_THROW(StrollTable(apsp, sw[2], 1.0, {sw[1], sw[1]}), PpdcError);
+  EXPECT_NO_THROW(StrollTable(apsp, sw[2], 1.0, {sw[1], sw[0]}));
+}
+
 TEST(StrollDp, CostNondecreasingInQuota) {
   const Topology topo = build_fat_tree(4);
   const AllPairs apsp(topo.graph);
