@@ -21,22 +21,116 @@ constexpr std::size_t kDirtyRebuildDivisor = 4;
 /// silently size a scale vector into the gigabytes.
 constexpr int kMaxGroupId = 1 << 20;
 
-/// Switch-block width of the attraction rebuild kernels: the block's
-/// accumulators (kSwitchBlock doubles) stay cache-resident while the flow
-/// list streams past, and blocks double as the OpenMP work unit.
-constexpr std::ptrdiff_t kSwitchBlock = 512;
+/// Switch-block width of the attraction kernel. Each block's egress pass
+/// reads a transposed column block of |V| · kSwitchBlock doubles per
+/// worker, so the block stays narrow (~0.7 MB at k=16, ~4.8 MB at k=32);
+/// blocks double as the OpenMP work unit.
+constexpr std::ptrdiff_t kSwitchBlock = 64;
 
 /// Accumulates one flow's ingress contribution over a switch block into
 /// a dense accumulator (acc[j] belongs to sw[j]). The dense store plus
 /// __restrict is what lets the compiler vectorize the gather; the
-/// scatter back into ingress_ happens once per block, not per flow.
-/// tools/vec_gate.sh pins that this loop vectorizes.
+/// scatter back into the attraction vector happens once per block, not
+/// per flow. tools/vec_gate.sh pins that this loop vectorizes.
 void accumulate_ingress_block(double* __restrict acc,
                               const double* __restrict srow,
                               const NodeId* __restrict sw, std::size_t n,
                               double rate) {
   for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: ingress-block-gather
     acc[j] += rate * srow[static_cast<std::size_t>(sw[j])];
+  }
+}
+
+/// Accumulates one flow's egress contribution over a switch block from
+/// the transposed column block's row at the flow's destination
+/// (tcol[j] = c(sw[j], dst)): a contiguous read, so it vectorizes too.
+/// tools/vec_gate.sh pins that this loop vectorizes.
+void accumulate_egress_block(double* __restrict acc,
+                             const double* __restrict tcol, std::size_t n,
+                             double rate) {
+  for (std::size_t j = 0; j < n; ++j) {  // ppdc-vec: egress-column-block
+    acc[j] += rate * tcol[j];
+  }
+}
+
+/// One flow's term of the attraction sums: weight, endpoints, output row.
+struct AttractionTerm {
+  double weight;
+  NodeId src;
+  NodeId dst;
+  std::size_t row;
+};
+
+/// The attraction kernel behind refresh() (one output row) and
+/// rebuild_group_bases() (one row per mapped group). For every switch sw
+/// and row r it stores
+///   ing[r·|V| + sw] = Σ_i w_i · c(src_i, sw)
+///   egr[r·|V| + sw] = Σ_i w_i · c(sw, dst_i)
+/// over the flows i = 0 .. num_flows-1 with term_of(i).row == r, leaving
+/// non-switch cells untouched. Per switch block it keeps dense per-row
+/// accumulators; ingress gathers the source's APSP row, egress reads a
+/// transposed column block tcol[v·bw + j] = c(sw_j, v) at the flow's
+/// destination. Columns are transposed rather than read as c(dst, sw)
+/// because weighted and degraded fabrics need not be symmetric bit for
+/// bit. Every cell still adds its products in flow order starting from
+/// 0.0, so the result is bit-identical to a scalar per-switch flow scan
+/// at any thread count. Zero-weight flows are skipped: they contribute
+/// nothing, and on degraded fabrics a quarantined flow's endpoint
+/// distance may be +inf (0 · inf = NaN).
+template <class TermOf>
+void attraction_kernel(const AllPairs& apsp, std::size_t num_flows,
+                       std::size_t num_rows, const TermOf& term_of,
+                       double* ing, double* egr) {
+  const auto n = static_cast<std::size_t>(apsp.num_nodes());
+  const auto& switches = apsp.graph().switches();
+  const auto num_switches = static_cast<std::ptrdiff_t>(switches.size());
+  const std::ptrdiff_t num_blocks =
+      (num_switches + kSwitchBlock - 1) / kSwitchBlock;
+  constexpr auto bw = static_cast<std::size_t>(kSwitchBlock);
+#if defined(PPDC_HAVE_OPENMP)
+#pragma omp parallel
+#endif
+  {
+    // Per-worker buffers, sized by the first block a worker takes, so
+    // idle workers of a small fabric allocate nothing.
+    std::vector<double> tcol, iacc, eacc;
+#if defined(PPDC_HAVE_OPENMP)
+#pragma omp for schedule(static)
+#endif
+    for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
+      const std::ptrdiff_t b0 = blk * kSwitchBlock;
+      const auto bn = static_cast<std::size_t>(
+          std::min(num_switches, b0 + kSwitchBlock) - b0);
+      const NodeId* swp = switches.data() + b0;
+      tcol.resize(n * bw);
+      iacc.assign(num_rows * bw, 0.0);
+      eacc.assign(num_rows * bw, 0.0);
+      // Transpose v-outer: the block's rows are read as bn sequential
+      // streams and tcol is written contiguously.
+      const double* swrows[kSwitchBlock] = {};
+      for (std::size_t j = 0; j < bn; ++j) swrows[j] = apsp.cost_row(swp[j]);
+      for (std::size_t v = 0; v < n; ++v) {
+        double* trow = tcol.data() + v * bw;
+        for (std::size_t j = 0; j < bn; ++j) trow[j] = swrows[j][v];
+      }
+      for (std::size_t i = 0; i < num_flows; ++i) {
+        const AttractionTerm t = term_of(i);
+        if (t.weight == 0.0) continue;
+        accumulate_ingress_block(iacc.data() + t.row * bw,
+                                 apsp.cost_row(t.src), swp, bn, t.weight);
+        accumulate_egress_block(eacc.data() + t.row * bw,
+                                tcol.data() +
+                                    static_cast<std::size_t>(t.dst) * bw,
+                                bn, t.weight);
+      }
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        for (std::size_t j = 0; j < bn; ++j) {
+          const std::size_t cell = r * n + static_cast<std::size_t>(swp[j]);
+          ing[cell] = iacc[r * bw + j];
+          egr[cell] = eacc[r * bw + j];
+        }
+      }
+    }
   }
 }
 
@@ -58,6 +152,17 @@ CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows)
   refresh();
 }
 
+CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+                     const std::vector<double>& base_rates,
+                     const std::vector<int>& groups, int min_groups)
+    : apsp_(&apsp), flows_(&flows) {
+  const auto n = static_cast<std::size_t>(apsp.num_nodes());
+  ingress_.assign(n, 0.0);
+  egress_.assign(n, 0.0);
+  enable_group_refresh(base_rates, groups, min_groups);
+  recombine(std::vector<double>(static_cast<std::size_t>(num_groups_), 1.0));
+}
+
 void CostModel::refresh() {
   const auto n = static_cast<std::size_t>(apsp_->num_nodes());
   ingress_.assign(n, 0.0);
@@ -67,52 +172,13 @@ void CostModel::refresh() {
     PPDC_REQUIRE(f.rate >= 0.0, "negative traffic rate");
     lambda_sum_ += f.rate;
   }
-  const Graph& g = apsp_->graph();
-  const auto& switches = g.switches();
-  const auto num_switches = static_cast<std::ptrdiff_t>(switches.size());
-  const std::ptrdiff_t num_blocks =
-      (num_switches + kSwitchBlock - 1) / kSwitchBlock;
-  // Switch-blocked rebuild. Per switch, each attraction still accumulates
-  // its flow contributions in flow order — bit-identical to the naive
-  // switch-outer scan — but the memory access pattern is flat: the ingress
-  // pass streams each flow's APSP row contiguously past a cache-resident
-  // block of accumulators, the egress pass keeps one c(sw, ·) row resident
-  // while streaming the flow list.
-#if defined(PPDC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::ptrdiff_t b0 = blk * kSwitchBlock;
-    const std::ptrdiff_t b1 = std::min(num_switches, b0 + kSwitchBlock);
-    const std::size_t bn = static_cast<std::size_t>(b1 - b0);
-    const NodeId* swp = switches.data() + b0;
-    // Per-switch sums still accumulate in flow order starting from 0.0 —
-    // bit-identical to scattering straight into ingress_ — but the
-    // accumulator is dense, so the inner gather loop vectorizes.
-    double acc[kSwitchBlock];
-    std::fill_n(acc, bn, 0.0);
-    for (const auto& f : *flows_) {
-      // Zero-rate flows contribute nothing; skipping them also keeps the
-      // sums NaN-free on degraded fabrics, where a quarantined flow's
-      // endpoint distance is +inf (0 * inf = NaN).
-      if (f.rate == 0.0) continue;
-      accumulate_ingress_block(acc, apsp_->cost_row(f.src_host), swp, bn,
-                               f.rate);
-    }
-    for (std::size_t j = 0; j < bn; ++j) {
-      ingress_[static_cast<std::size_t>(swp[j])] = acc[j];
-    }
-    for (std::ptrdiff_t si = b0; si < b1; ++si) {
-      const NodeId sw = switches[static_cast<std::size_t>(si)];
-      const double* swrow = apsp_->cost_row(sw);
-      double b = 0.0;
-      for (const auto& f : *flows_) {
-        if (f.rate == 0.0) continue;
-        b += f.rate * swrow[static_cast<std::size_t>(f.dst_host)];
-      }
-      egress_[static_cast<std::size_t>(sw)] = b;
-    }
-  }
+  attraction_kernel(
+      *apsp_, flows_->size(), 1,
+      [&](std::size_t i) {
+        const VmFlow& f = (*flows_)[i];
+        return AttractionTerm{f.rate, f.src_host, f.dst_host, 0};
+      },
+      ingress_.data(), egress_.data());
   rescan_minima();
   if (group_refresh_enabled()) {
     // Keep the base vectors coherent with any endpoint changes the caller
@@ -217,44 +283,13 @@ void CostModel::rebuild_group_bases() {
   }
   group_ingress_.assign(row_groups_.size() * n, 0.0);
   group_egress_.assign(row_groups_.size() * n, 0.0);
-  const auto& switches = apsp_->graph().switches();
-  const auto num_switches = static_cast<std::ptrdiff_t>(switches.size());
-  const std::ptrdiff_t num_blocks =
-      (num_switches + kSwitchBlock - 1) / kSwitchBlock;
-  // Same switch-blocked structure as refresh(): per (group, switch) cell
-  // the contributions still land in flow order (bit-identical), while the
-  // ingress pass streams APSP rows contiguously and the egress pass keeps
-  // one c(sw, ·) row resident per switch.
-#if defined(PPDC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::ptrdiff_t b0 = blk * kSwitchBlock;
-    const std::ptrdiff_t b1 = std::min(num_switches, b0 + kSwitchBlock);
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      // Zero-base flows (including fault-quarantined ones, whose distances
-      // may be +inf) contribute nothing.
-      if (base_rates_[i] == 0.0) continue;
-      const double* srow = apsp_->cost_row(snap_src_[i]);
-      const std::size_t row = row_of(groups_[i]) * n;
-      for (std::ptrdiff_t si = b0; si < b1; ++si) {
-        const auto col =
-            static_cast<std::size_t>(switches[static_cast<std::size_t>(si)]);
-        group_ingress_[row + col] += base_rates_[i] * srow[col];
-      }
-    }
-    for (std::ptrdiff_t si = b0; si < b1; ++si) {
-      const NodeId sw = switches[static_cast<std::size_t>(si)];
-      const auto col = static_cast<std::size_t>(sw);
-      const double* swrow = apsp_->cost_row(sw);
-      for (std::size_t i = 0; i < groups_.size(); ++i) {
-        if (base_rates_[i] == 0.0) continue;
-        const std::size_t row = row_of(groups_[i]) * n;
-        group_egress_[row + col] +=
-            base_rates_[i] * swrow[static_cast<std::size_t>(snap_dst_[i])];
-      }
-    }
-  }
+  attraction_kernel(
+      *apsp_, groups_.size(), row_groups_.size(),
+      [&](std::size_t i) {
+        return AttractionTerm{base_rates_[i], snap_src_[i], snap_dst_[i],
+                              row_of(groups_[i])};
+      },
+      group_ingress_.data(), group_egress_.data());
 }
 
 void CostModel::patch_moved_flow(FlowId flow) {

@@ -49,8 +49,19 @@ class CostModel {
   /// Builds the evaluator. `apsp` and `flows` must outlive the model.
   CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows);
 
+  /// Builds the evaluator straight into group mode: the same as the
+  /// two-argument constructor followed by
+  /// enable_group_refresh(base_rates, groups, min_groups), minus the
+  /// flow-rate refresh() that the first refresh_scaled() would discard.
+  /// Λ, A and B start recombined at unit scales (so a query before the
+  /// first refresh_scaled() is defined), and no scales count as "last"
+  /// until one is applied.
+  CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+            const std::vector<double>& base_rates,
+            const std::vector<int>& groups, int min_groups = 0);
+
   /// Re-derives Λ, A, B after the traffic rate vector changed in `flows`
-  /// (full O(|V_s| · l) rescan, OpenMP-parallel over switches). With
+  /// (full O(|V_s| · l) rescan, OpenMP-parallel over switch blocks). With
   /// group refresh enabled, also resyncs the per-group base vectors to the
   /// flows' current endpoints.
   void refresh();
@@ -188,7 +199,8 @@ class CostModel {
 
  private:
   /// Rebuilds the per-group base vectors and endpoint snapshot from
-  /// scratch (OpenMP-parallel over switches).
+  /// scratch (the blocked attraction kernel, OpenMP-parallel over switch
+  /// blocks).
   void rebuild_group_bases();
   /// Moves one flow's base-vector contributions from its snapshot
   /// endpoints to its current ones.

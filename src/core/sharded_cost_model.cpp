@@ -1,10 +1,12 @@
 #include "core/sharded_cost_model.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
 
 #include "graph/graph.hpp"
 #include "util/require.hpp"
+#include "util/shard_pool.hpp"
 
 namespace ppdc {
 
@@ -69,7 +71,7 @@ ShardMap ShardMap::single(const Graph& graph) {
 
 ShardedCostModel::ShardedCostModel(const AllPairs& apsp, const ShardMap& map,
                                    const std::vector<VmFlow>& flows,
-                                   int min_groups)
+                                   int min_groups, int threads)
     : apsp_(&apsp), map_(&map), min_groups_(min_groups) {
   PPDC_REQUIRE(map.num_shards() >= 1, "shard map has no shards");
   shards_.reserve(static_cast<std::size_t>(map.num_shards()));
@@ -97,10 +99,15 @@ ShardedCostModel::ShardedCostModel(const AllPairs& apsp, const ShardMap& map,
     if (f.rate != 0.0) ++sh.live;
   }
 
-  for (auto& shard : shards_) {
-    shard->model = std::make_unique<CostModel>(apsp, shard->flows);
-    shard->model->enable_group_refresh(shard->base_rates, shard->groups,
-                                       min_groups_);
+  auto build = [&](int s) {
+    Shard& sh = *shards_[static_cast<std::size_t>(s)];
+    sh.model = std::make_unique<CostModel>(apsp, sh.flows, sh.base_rates,
+                                           sh.groups, min_groups_);
+  };
+  if (const std::exception_ptr e =
+          for_each_shard(num_shards(), std::min(threads, num_shards()), build,
+                         [] { return false; })) {
+    std::rethrow_exception(e);
   }
 }
 

@@ -86,10 +86,15 @@ class ShardedCostModel {
   /// carry *base* rates) by ingress pod and builds one group-refresh
   /// CostModel per shard. `min_groups` is the global diurnal group-domain
   /// size — every shard accepts scale vectors of that length even when its
-  /// local subset misses some groups. `apsp`, `topo`, and `map` must
-  /// outlive the model.
+  /// local subset misses some groups. The shard models are built on up to
+  /// `threads` workers of the shard pool (util/shard_pool.hpp); each
+  /// touches only its own shard, so the result is the same at every
+  /// thread count, and a failure surfaces as the first failing shard's
+  /// error in shard order. `apsp`, `topo`, and `map` must outlive the
+  /// model.
   ShardedCostModel(const AllPairs& apsp, const ShardMap& map,
-                   const std::vector<VmFlow>& flows, int min_groups);
+                   const std::vector<VmFlow>& flows, int min_groups,
+                   int threads = 1);
 
   int num_shards() const noexcept { return static_cast<int>(shards_.size()); }
   Shard& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }

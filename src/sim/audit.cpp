@@ -1,4 +1,6 @@
+#include "core/cost_model.hpp"
 #include "core/sharded_cost_model.hpp"
+#include "graph/apsp.hpp"
 #include "graph/graph.hpp"
 #include "sim/audit.hpp"
 #include "util/ids.hpp"
@@ -24,6 +26,16 @@ std::string format_violation(const AuditViolation& v) {
   }
   if (!v.shard.empty()) msg += " (shard '" + v.shard + "')";
   return msg;
+}
+
+/// One flow's end-to-end cost under a placement already validated for
+/// the whole shard: CostModel::flow_cost's exact expression
+/// rate·(c(src,p₀) + chain + c(pₙ,dst)) with chain = chain_cost(p),
+/// without re-validating p per flow.
+double flow_cost_on(const AllPairs& apsp, const VmFlow& f, const Placement& p,
+                    double chain) {
+  return f.rate * (apsp.cost(f.src_host, p.front()) + chain +
+                   apsp.cost(p.back(), f.dst_host));
 }
 
 bool close(double a, double b, double rel_tol, double abs_tol) {
@@ -217,10 +229,12 @@ void InvariantAuditor::check_shard_placement(
   // Every served local flow must reach the shard's chain at finite cost;
   // an infinite cost means the quarantine logic let an unreachable flow
   // through (flow id is the shard-local slot).
+  const AllPairs& apsp = ctx.model->apsp();
+  const double chain = ctx.model->chain_cost(p);
   const auto& flows = *ctx.flows;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (flows[i].rate == 0.0) continue;
-    const double c = ctx.model->flow_cost(flows[i], p);
+    const double c = flow_cost_on(apsp, flows[i], p, chain);
     if (!std::isfinite(c)) {
       fail(ctx.epoch, "placement-feasibility",
            "served flow has infinite end-to-end cost (missed quarantine?)",
@@ -235,10 +249,14 @@ void InvariantAuditor::check_shard_conservation(
   // serve nothing — both exempt. Held (and quarantined) shards are NOT
   // exempt: hold-and-patch must keep the charge exactly refreshed.
   if (ctx.service_down || ctx.frozen) return;
+  const Placement& p = *ctx.placement;
+  const AllPairs& apsp = ctx.model->apsp();
+  validate_placement(apsp.graph(), p);  // once per shard, not per flow
+  const double chain = ctx.model->chain_cost(p);
   double sum = 0.0;
   for (const VmFlow& f : *ctx.flows) {
     if (f.rate == 0.0) continue;  // vacant or quarantined slot
-    sum += ctx.model->flow_cost(f, *ctx.placement);
+    sum += flow_cost_on(apsp, f, p, chain);
   }
   if (!close(sum, ctx.charged_comm, options_.rel_tol, options_.abs_tol)) {
     fail(ctx.epoch, "cost-conservation",

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "util/checksum.hpp"
 #include "util/ids.hpp"
 #include "util/require.hpp"
+#include "util/shard_pool.hpp"
 #include "workload/diurnal.hpp"
 #include "workload/traffic.hpp"
 
@@ -75,52 +75,6 @@ int required_clean_epochs(int shard, int fail_streak, int recovery_epochs) {
       Hash64().i64(shard).i64(fail_streak).value() %
       static_cast<std::uint64_t>(fail_streak));
   return recovery_epochs + backoff + jitter;
-}
-
-/// Runs `body(s)` for every shard s on up to `pool` threads, or in shard
-/// order on the calling thread when `pool` <= 1, and returns the error of
-/// the first failing shard in shard order (null when none failed). Workers
-/// pull shards from a shared counter and stop pulling once `stop()` turns
-/// true; the serial path also stops at its first error. Shards touch only
-/// their own state, so the outcome is the same at every pool size.
-template <class Body, class Stop>
-std::exception_ptr for_each_shard(int num_shards, int pool, Body&& body,
-                                  Stop&& stop) {
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_shards));
-  if (pool <= 1) {
-    for (int s = 0; s < num_shards; ++s) {
-      if (stop()) break;
-      try {
-        body(s);
-      } catch (...) {
-        errors[static_cast<std::size_t>(s)] = std::current_exception();
-        break;
-      }
-    }
-  } else {
-    std::atomic<int> next{0};
-    auto worker = [&]() noexcept {
-      for (;;) {
-        if (stop()) return;
-        const int s = next.fetch_add(1, std::memory_order_relaxed);
-        if (s >= num_shards) return;
-        try {
-          body(s);
-        } catch (...) {
-          errors[static_cast<std::size_t>(s)] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(pool));
-    for (int t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) return e;
-  }
-  return nullptr;
 }
 
 /// The epoch loop. Each shard runs its own clone of `prototype`, cloned
@@ -180,11 +134,12 @@ SimTrace run_epoch_loop(const AllPairs& apsp, const ShardMap& map,
   int n_groups = num_groups(groups_of(workload.flows()));
   if (streaming) n_groups = std::max(n_groups, 2);
 
-  ShardedCostModel shards(apsp, map, workload.flows(), n_groups);
-  const int num_shards = shards.num_shards();
-  // Worker threads of the shard pool (hour-0 solve and epoch shard phase).
+  const int num_shards = map.num_shards();
+  // Worker threads of the shard pool (shard-model build, hour-0 solve and
+  // epoch shard phase).
   const int pool =
       std::min(resolve_experiment_threads(sharded.threads), num_shards);
+  ShardedCostModel shards(apsp, map, workload.flows(), n_groups, pool);
   auto scales_at = [&](Hour hour) {
     return config.diurnal.group_scales(hour, n_groups);
   };

@@ -14,7 +14,9 @@
 // Any EXPECT_EQ failure on a double below is a behaviour change, not
 // noise: tolerances would defeat the purpose.
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -840,6 +842,262 @@ TEST(KernelEquivalence, GroupRecombineMatchesNaiveGroupOrderSums) {
     }
     EXPECT_EQ(cm.ingress_attraction(sw), a) << "switch " << sw;
     EXPECT_EQ(cm.egress_attraction(sw), b) << "switch " << sw;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The blocked attraction kernel behind refresh() and rebuild_group_bases()
+// against the scalar loops it replaced, embedded here as the reference:
+// refresh() accumulated one scalar per switch across the whole flow list,
+// the group rebuild scattered into [row · |V| + col] per flow. Both skip
+// zero-rate flows and add each cell's products in flow order from 0.0.
+// ---------------------------------------------------------------------------
+struct RefAttractions {
+  std::vector<double> ingress;  ///< [row · |V| + v]
+  std::vector<double> egress;
+};
+
+RefAttractions ref_refresh(const AllPairs& apsp,
+                           const std::vector<VmFlow>& flows) {
+  const auto n = static_cast<std::size_t>(apsp.num_nodes());
+  RefAttractions out{std::vector<double>(n, 0.0),
+                     std::vector<double>(n, 0.0)};
+  for (const NodeId sw : apsp.graph().switches()) {
+    const double* swrow = apsp.cost_row(sw);
+    double a = 0.0;
+    double b = 0.0;
+    for (const auto& f : flows) {
+      if (f.rate == 0.0) continue;
+      a += f.rate * apsp.cost_row(f.src_host)[static_cast<std::size_t>(sw)];
+      b += f.rate * swrow[static_cast<std::size_t>(f.dst_host)];
+    }
+    out.ingress[static_cast<std::size_t>(sw)] = a;
+    out.egress[static_cast<std::size_t>(sw)] = b;
+  }
+  return out;
+}
+
+RefAttractions ref_group_bases(const AllPairs& apsp,
+                               const std::vector<VmFlow>& flows,
+                               const std::vector<double>& base_rates,
+                               const std::vector<int>& groups) {
+  const auto n = static_cast<std::size_t>(apsp.num_nodes());
+  // Dense rows in ascending group-id order over the ids in use.
+  std::vector<int> ids = groups;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  auto row_of = [&](int g) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), g) - ids.begin());
+  };
+  RefAttractions out{std::vector<double>(ids.size() * n, 0.0),
+                     std::vector<double>(ids.size() * n, 0.0)};
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (base_rates[i] == 0.0) continue;
+    const double* srow = apsp.cost_row(flows[i].src_host);
+    const std::size_t row = row_of(groups[i]) * n;
+    for (const NodeId sw : apsp.graph().switches()) {
+      const auto col = static_cast<std::size_t>(sw);
+      out.ingress[row + col] += base_rates[i] * srow[col];
+    }
+  }
+  for (const NodeId sw : apsp.graph().switches()) {
+    const auto col = static_cast<std::size_t>(sw);
+    const double* swrow = apsp.cost_row(sw);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (base_rates[i] == 0.0) continue;
+      const std::size_t row = row_of(groups[i]) * n;
+      out.egress[row + col] +=
+          base_rates[i] *
+          swrow[static_cast<std::size_t>(flows[i].dst_host)];
+    }
+  }
+  return out;
+}
+
+void expect_refresh_matches_scalar(const AllPairs& apsp,
+                                   const std::vector<VmFlow>& flows) {
+  const CostModel cm(apsp, flows);
+  const RefAttractions ref = ref_refresh(apsp, flows);
+  for (const NodeId sw : apsp.graph().switches()) {
+    const auto col = static_cast<std::size_t>(sw);
+    EXPECT_EQ(cm.ingress_attraction(sw), ref.ingress[col]) << "switch " << sw;
+    EXPECT_EQ(cm.egress_attraction(sw), ref.egress[col]) << "switch " << sw;
+  }
+}
+
+void expect_group_bases_match_scalar(const AllPairs& apsp,
+                                     const std::vector<VmFlow>& flows,
+                                     const std::vector<double>& base_rates,
+                                     const std::vector<int>& groups) {
+  const RefAttractions ref = ref_group_bases(apsp, flows, base_rates, groups);
+  // Both entry points share the kernel: enabling group refresh on a
+  // built model, and the group-mode constructor.
+  CostModel enabled(apsp, flows);
+  enabled.enable_group_refresh(base_rates, groups);
+  const CostModel grouped(apsp, flows, base_rates, groups);
+  for (const CostModel* cm : {&std::as_const(enabled), &grouped}) {
+    const CostModel::GroupSnapshot snap = cm->group_snapshot();
+    ASSERT_EQ(snap.group_ingress.size(), ref.ingress.size());
+    ASSERT_EQ(snap.group_egress.size(), ref.egress.size());
+    for (std::size_t c = 0; c < ref.ingress.size(); ++c) {
+      EXPECT_EQ(snap.group_ingress[c], ref.ingress[c]) << "cell " << c;
+      EXPECT_EQ(snap.group_egress[c], ref.egress[c]) << "cell " << c;
+    }
+  }
+}
+
+TEST(KernelEquivalence, RefreshKernelMatchesScalarLoops) {
+  // k=4 has 20 switches (one partial block), k=8 has 80 (a full 64-wide
+  // block plus a partial one): neither is a multiple of the block width.
+  for (const int k : {4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "unit k=" << k);
+    const Topology topo = build_fat_tree(k);
+    const AllPairs apsp(topo.graph);
+    auto flows = workload(topo, 40 * k, 7 + static_cast<std::uint64_t>(k));
+    for (std::size_t i = 0; i < flows.size(); i += 5) flows[i].rate = 0.0;
+    expect_refresh_matches_scalar(apsp, flows);
+  }
+  {
+    SCOPED_TRACE("weighted k=8");
+    Topology topo = build_fat_tree(8);
+    apply_uniform_delay_weights(topo.graph, 41);
+    const AllPairs apsp(topo.graph);
+    expect_refresh_matches_scalar(apsp, workload(topo, 300, 43));
+  }
+}
+
+TEST(KernelEquivalence, RefreshKernelMatchesScalarLoopsOnDegradedFabric) {
+  // Pod 0 cut off (its aggregation switches dead): the APSP holds +inf
+  // between the parts. Flows touching pod 0 are quarantined (rate 0), so
+  // served sums stay finite where the fabric connects and +inf where it
+  // does not — never 0 · inf = NaN.
+  const Topology topo = build_fat_tree(8);
+  const Graph& g = topo.graph;
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : g.switches()) {
+    if (g.label(v).rfind("agg0_", 0) == 0) {
+      dead[static_cast<std::size_t>(v)] = 1;
+    }
+  }
+  const DegradedNetwork net(g, dead, {});
+  const AllPairs& apsp = net.apsp();
+  auto flows = workload(topo, 300, 47);
+  int quarantined = 0;
+  for (VmFlow& f : flows) {
+    if (!net.in_core(f.src_host) || !net.in_core(f.dst_host)) {
+      f.rate = 0.0;
+      ++quarantined;
+    }
+  }
+  ASSERT_GT(quarantined, 0);
+  expect_refresh_matches_scalar(apsp, flows);
+  const CostModel cm(apsp, flows);
+  bool saw_inf = false;
+  for (const NodeId sw : g.switches()) {
+    EXPECT_FALSE(std::isnan(cm.ingress_attraction(sw))) << "switch " << sw;
+    EXPECT_FALSE(std::isnan(cm.egress_attraction(sw))) << "switch " << sw;
+    saw_inf = saw_inf || cm.ingress_attraction(sw) == kInf;
+  }
+  EXPECT_TRUE(saw_inf) << "the cut-off switches must see +inf attractions";
+}
+
+TEST(KernelEquivalence, GroupBaseKernelMatchesScalarLoops) {
+  struct Scenario {
+    int k;
+    bool weighted;
+  };
+  for (const Scenario sc : {Scenario{4, false}, Scenario{8, false},
+                            Scenario{8, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k=" << sc.k << " weighted=" << sc.weighted);
+    Topology topo = build_fat_tree(sc.k);
+    if (sc.weighted) apply_uniform_delay_weights(topo.graph, 53);
+    const AllPairs apsp(topo.graph);
+    const auto flows = workload(topo, 50 * sc.k, 59);
+    std::vector<double> base_rates = rates_of(flows);
+    std::vector<int> groups(flows.size());
+    const int sparse_ids[] = {17, 0, 5};
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      groups[i] = sparse_ids[i % 3];
+      if (i % 7 == 3) base_rates[i] = 0.0;
+    }
+    expect_group_bases_match_scalar(apsp, flows, base_rates, groups);
+  }
+}
+
+TEST(KernelEquivalence, GroupModeConstructorMatchesEnabledModel) {
+  const Topology topo = build_fat_tree(8);
+  const AllPairs apsp(topo.graph);
+  const auto flows = workload(topo, 200, 61);
+  const std::vector<double> base_rates = rates_of(flows);
+  std::vector<int> groups(flows.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    groups[i] = static_cast<int>(i % 2);
+  }
+  CostModel enabled(apsp, flows);
+  enabled.enable_group_refresh(base_rates, groups, 4);
+  CostModel grouped(apsp, flows, base_rates, groups, 4);
+  EXPECT_EQ(grouped.num_groups(), enabled.num_groups());
+  EXPECT_TRUE(grouped.group_snapshot().last_scales.empty());
+  // Before any refresh_scaled, the group-mode model answers at unit
+  // scales: Λ, A and B recombined from the base vectors.
+  const std::vector<double> unit(4, 1.0);
+  CostModel unit_scaled(apsp, flows, base_rates, groups, 4);
+  unit_scaled.refresh_scaled(unit);
+  EXPECT_EQ(grouped.total_rate(), unit_scaled.total_rate());
+  for (const NodeId sw : topo.graph.switches()) {
+    EXPECT_EQ(grouped.ingress_attraction(sw),
+              unit_scaled.ingress_attraction(sw));
+    EXPECT_EQ(grouped.egress_attraction(sw),
+              unit_scaled.egress_attraction(sw));
+  }
+  // Every epoch recombination agrees with the enable path bit for bit.
+  const std::vector<double> scales = {0.75, 1.5, 1.0, 1.0};
+  enabled.refresh_scaled(scales);
+  grouped.refresh_scaled(scales);
+  EXPECT_EQ(grouped.total_rate(), enabled.total_rate());
+  EXPECT_EQ(grouped.best_ingress(), enabled.best_ingress());
+  EXPECT_EQ(grouped.best_egress(), enabled.best_egress());
+  for (const NodeId sw : topo.graph.switches()) {
+    EXPECT_EQ(grouped.ingress_attraction(sw), enabled.ingress_attraction(sw));
+    EXPECT_EQ(grouped.egress_attraction(sw), enabled.egress_attraction(sw));
+  }
+}
+
+TEST(KernelEquivalence, GroupModeConstructorRejectsLikeEnable) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const auto flows = workload(topo, 30, 67);
+  const std::vector<double> good_rates = rates_of(flows);
+  const std::vector<int> good_groups(flows.size(), 0);
+  std::vector<double> negative = good_rates;
+  negative[7] = -1.0;
+  std::vector<int> out_of_domain = good_groups;
+  out_of_domain[11] = 1 << 20;
+  std::vector<int> below_zero = good_groups;
+  below_zero[3] = -2;
+  struct Bad {
+    const std::vector<double>* rates;
+    const std::vector<int>* groups;
+  };
+  for (const Bad bad : {Bad{&negative, &good_groups},
+                        Bad{&good_rates, &out_of_domain},
+                        Bad{&good_rates, &below_zero}}) {
+    std::string enable_error;
+    try {
+      CostModel cm(apsp, flows);
+      cm.enable_group_refresh(*bad.rates, *bad.groups);
+    } catch (const PpdcError& e) {
+      enable_error = e.what();
+    }
+    ASSERT_FALSE(enable_error.empty());
+    try {
+      const CostModel cm(apsp, flows, *bad.rates, *bad.groups);
+      ADD_FAILURE() << "group-mode constructor accepted: " << enable_error;
+    } catch (const PpdcError& e) {
+      EXPECT_EQ(std::string(e.what()), enable_error);
+    }
   }
 }
 

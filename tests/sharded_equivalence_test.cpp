@@ -19,14 +19,18 @@
 #include <string>
 #include <vector>
 
+#include "core/cost_model.hpp"
 #include "core/sharded_cost_model.hpp"
 #include "engine_golden.hpp"
+#include "fault/degraded.hpp"
 #include "fault/fault.hpp"
+#include "graph/apsp.hpp"
 #include "sim/audit.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/observer.hpp"
+#include "sim/policy.hpp"
 #include "sim/sharded.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/streaming.hpp"
@@ -478,6 +482,206 @@ TEST(ShardedAudit, CorruptPlacementNamesShard) {
     EXPECT_EQ(e.violation().shard, map.names[0]);
     EXPECT_NE(std::string(e.what()).find(map.names[0]), std::string::npos)
         << e.what();
+  }
+}
+
+// Drives InvariantAuditor directly through one epoch: the event stream
+// of an uneventful epoch, then one shard check per context.
+class DirectAudit {
+ public:
+  explicit DirectAudit(std::vector<std::string> shard_names)
+      : auditor_(audit_options(), "direct", std::move(shard_names)) {
+    auditor_.on_run_begin(Hour{4}, Placement{});
+    auditor_.on_epoch_begin(Hour{1});
+    auditor_.on_epoch_end(Hour{1}, EpochDecision{});
+  }
+  void check(const ShardAuditContext& ctx) { auditor_.check_shard_epoch(ctx); }
+
+ private:
+  static AuditOptions audit_options() {
+    AuditOptions o;
+    o.enabled = true;
+    return o;
+  }
+  InvariantAuditor auditor_;
+};
+
+ShardAuditContext shard_context(int shard, const std::string& name,
+                                const CostModel& model,
+                                const std::vector<VmFlow>& flows,
+                                const Placement& p, double charged) {
+  ShardAuditContext ctx;
+  ctx.epoch = Hour{1};
+  ctx.shard = shard;
+  ctx.name = &name;
+  ctx.model = &model;
+  ctx.flows = &flows;
+  ctx.placement = &p;
+  ctx.charged_comm = charged;
+  ctx.n = static_cast<int>(p.size());
+  return ctx;
+}
+
+TEST(ShardedAudit, DirectChargeOffBeyondToleranceNamesShard) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  Rng rng(71);
+  auto flows = generate_vm_flows(topo, workload_config(40), rng);
+  flows[5].rate = 0.0;  // a vacant slot is not charged
+  const CostModel model(apsp, flows);
+  const auto& sw = topo.graph.switches();
+  const Placement p = {sw[0], sw[5], sw[9]};
+  double exact = 0.0;
+  for (const VmFlow& f : flows) {
+    if (f.rate != 0.0) exact += model.flow_cost(f, p);
+  }
+  const std::vector<std::string> names = {"podA", "podB"};
+  DirectAudit audit(names);
+  // The exact per-flow sum passes ...
+  audit.check(shard_context(0, names[0], model, flows, p, exact));
+  // ... and a charge off by far more than rel_tol · magnitude + abs_tol
+  // is reported against the shard that charged it.
+  try {
+    audit.check(shard_context(1, names[1], model, flows, p, exact * 1.01));
+    FAIL() << "a charge off by 1% escaped the conservation check";
+  } catch (const AuditError& e) {
+    EXPECT_EQ(e.violation().invariant, "cost-conservation");
+    EXPECT_EQ(e.violation().shard, "podB");
+    EXPECT_EQ(e.violation().epoch, Hour{1});
+    EXPECT_NE(std::string(e.what()).find("podB"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardedAudit, DirectInfiniteServedFlowCostIsInfeasible) {
+  // Pod 0 cut off: the degraded APSP holds +inf between pod 0's hosts and
+  // the core, so a served pod-0 flow cannot reach a core placement.
+  const Topology topo = build_fat_tree(4);
+  const Graph& g = topo.graph;
+  std::vector<char> dead(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId v : g.switches()) {
+    if (g.label(v).rfind("agg0_", 0) == 0) {
+      dead[static_cast<std::size_t>(v)] = 1;
+    }
+  }
+  const DegradedNetwork net(g, dead, {});
+  NodeId cut_host = kInvalidNode;
+  std::vector<NodeId> core_hosts;
+  for (const NodeId h : g.hosts()) {
+    if (!net.in_core(h)) {
+      if (cut_host == kInvalidNode) cut_host = h;
+    } else {
+      core_hosts.push_back(h);
+    }
+  }
+  ASSERT_NE(cut_host, kInvalidNode);
+  ASSERT_GE(core_hosts.size(), 2u);
+  std::vector<VmFlow> flows = {{core_hosts[0], core_hosts[1], 2.0, 0},
+                               {cut_host, core_hosts[0], 0.0, 0},
+                               {cut_host, core_hosts[1], 1.5, 0}};
+  const CostModel model(net.apsp(), flows);
+  const auto& core = net.core_switches();
+  const Placement p = {core[0], core[1], core[2]};
+  const std::vector<std::string> names = {"pod0", "pod1"};
+  DirectAudit audit(names);
+  ShardAuditContext ctx = shard_context(1, names[1], model, flows, p, 0.0);
+  ctx.degraded = &net;
+  try {
+    audit.check(ctx);
+    FAIL() << "a served flow at +inf cost escaped the feasibility check";
+  } catch (const AuditError& e) {
+    EXPECT_EQ(e.violation().invariant, "placement-feasibility");
+    EXPECT_EQ(e.violation().shard, "pod1");
+    EXPECT_EQ(e.violation().flow, FlowId{2});
+    EXPECT_EQ(e.violation().node, p.front());
+  }
+}
+
+// ShardedCostModel builds its shard models on the shard pool: every
+// thread count gives the same shards, and a failure is the first bad
+// shard's in shard order.
+void expect_equal_shards(const ShardedCostModel::ShardSnapshot& a,
+                         const ShardedCostModel::ShardSnapshot& b) {
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    EXPECT_EQ(a.flows[i].src_host, b.flows[i].src_host);
+    EXPECT_EQ(a.flows[i].dst_host, b.flows[i].dst_host);
+    EXPECT_EQ(a.flows[i].rate, b.flows[i].rate);
+    EXPECT_EQ(a.flows[i].group, b.flows[i].group);
+  }
+  EXPECT_EQ(a.base_rates, b.base_rates);
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.global_ids, b.global_ids);
+  EXPECT_EQ(a.free_locals, b.free_locals);
+  EXPECT_EQ(a.live, b.live);
+  EXPECT_EQ(a.model.num_groups, b.model.num_groups);
+  EXPECT_EQ(a.model.base_rates, b.model.base_rates);
+  EXPECT_EQ(a.model.groups, b.model.groups);
+  EXPECT_EQ(a.model.group_rows, b.model.group_rows);
+  EXPECT_EQ(a.model.row_groups, b.model.row_groups);
+  EXPECT_EQ(a.model.group_ingress, b.model.group_ingress);
+  EXPECT_EQ(a.model.group_egress, b.model.group_egress);
+  EXPECT_EQ(a.model.last_scales, b.model.last_scales);
+  EXPECT_EQ(a.model.snap_src, b.model.snap_src);
+  EXPECT_EQ(a.model.snap_dst, b.model.snap_dst);
+}
+
+TEST(ShardedCostModelBuild, PooledBuildIsThreadCountInvariant) {
+  const Topology topo = build_fat_tree(8);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  Rng rng(73);
+  auto flows = generate_vm_flows(topo, workload_config(600), rng);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    flows[i].group = static_cast<int>(i % 3) * 2;  // sparse ids 0, 2, 4
+    if (i % 11 == 4) flows[i].rate = 0.0;
+  }
+  const ShardedCostModel serial(apsp, map, flows, 6);
+  ASSERT_GT(serial.num_shards(), 4);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ShardedCostModel pooled(apsp, map, flows, 6, threads);
+    ASSERT_EQ(pooled.num_shards(), serial.num_shards());
+    for (int s = 0; s < serial.num_shards(); ++s) {
+      SCOPED_TRACE(::testing::Message() << "shard " << s);
+      expect_equal_shards(pooled.shard_snapshot(s), serial.shard_snapshot(s));
+    }
+  }
+}
+
+TEST(ShardedCostModelBuild, PooledBuildReportsFirstBadShard) {
+  const Topology topo = build_fat_tree(4);
+  const AllPairs apsp(topo.graph);
+  const ShardMap map = ShardMap::by_ingress_pod(topo);
+  Rng rng(79);
+  const auto flows = generate_vm_flows(topo, workload_config(200), rng);
+  auto first_in_shard = [&](int shard) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (map.shard_of(flows[i].src_host) == shard) return i;
+    }
+    ADD_FAILURE() << "no flow in shard " << shard;
+    return std::size_t{0};
+  };
+  auto build_error = [&](const std::vector<VmFlow>& bad, int threads) {
+    try {
+      ShardedCostModel shards(apsp, map, bad, 2, threads);
+    } catch (const PpdcError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  std::vector<VmFlow> bad = flows;
+  bad[first_in_shard(1)].rate = -1.0;       // negative base in shard 1
+  bad[first_in_shard(3)].group = 1 << 20;   // group id out of domain in 3
+  std::vector<VmFlow> only_three = flows;
+  only_three[first_in_shard(3)].group = 1 << 20;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const std::string both = build_error(bad, threads);
+    EXPECT_NE(both.find("negative base rate"), std::string::npos) << both;
+    const std::string three = build_error(only_three, threads);
+    EXPECT_NE(three.find("outside the supported domain"), std::string::npos)
+        << three;
   }
 }
 

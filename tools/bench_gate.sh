@@ -47,8 +47,11 @@ ls "$BASELINES"/BENCH_*.json >/dev/null 2>&1 || skip "no committed baselines in 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# The committed baselines are single-threaded (provenance "threads: 1");
+# pin the emitter to one OpenMP thread so a multi-core host produces
+# comparable artifacts instead of failing every one on the thread count.
 echo "bench_gate: emitting smoke artifacts from $MICRO"
-if ! "$MICRO" --bench_json "$tmp" --smoke; then
+if ! OMP_NUM_THREADS=1 "$MICRO" --bench_json "$tmp" --smoke; then
   echo "bench_gate: FAIL — pinned scenario emission failed" >&2
   exit 1
 fi
