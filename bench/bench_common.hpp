@@ -263,6 +263,11 @@ struct KernelTiming {
   double mean_ns = 0.0;
 };
 
+/// Result sink of a timed kernel: a volatile store the compiler must
+/// perform, so the call that produced the value cannot be optimised away.
+inline volatile double g_result_sink = 0.0;
+inline void sink(double value) { g_result_sink = value; }
+
 template <typename Fn>
 KernelTiming time_kernel(Fn&& fn, bool smoke) {
   using clock = std::chrono::steady_clock;

@@ -1,25 +1,17 @@
-// google-benchmark microbenchmarks of the library's computational kernels:
-// APSP construction, the DP-Stroll table, the Algorithm 3 placement sweep,
-// the mPareto frontier scan, and the min-cost-flow solver. These guard the
-// asymptotic behaviour the figure harnesses depend on.
+// Pinned micro-benchmarks of the library's computational kernels: APSP
+// construction, the DP-Stroll table, the Algorithm 3 placement sweep, the
+// mPareto frontier scan and the full cost-model refresh.
 //
-// Two entry modes (own main below):
-//   * default: the usual google-benchmark CLI over the BM_* kernels;
-//   * --bench_json DIR [--smoke]: runs the *pinned* scenarios and emits
-//     one BENCH_<kernel>.json perf artifact per kernel (see bench_common
-//     and EXPERIMENTS.md). tools/bench_compare gates these against the
-//     committed baselines in bench/baselines/.
-#include <benchmark/benchmark.h>
+// Usage: micro_kernels --bench_json DIR [--smoke]. Runs the pinned
+// scenarios and emits one BENCH_<kernel>.json perf artifact per kernel
+// (see bench_common and EXPERIMENTS.md). tools/bench_compare gates these
+// against the committed baselines in bench/baselines/.
+#include <algorithm>
 
-#include "baselines/steering.hpp"
-#include "baselines/vm_migration.hpp"
 #include "bench_common.hpp"
-#include "core/local_search.hpp"
 #include "core/migration_pareto.hpp"
 #include "core/placement_dp.hpp"
 #include "core/stroll_dp.hpp"
-#include "flow/min_cost_flow.hpp"
-#include "net/link_load.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/checksum.hpp"
 #include "workload/vm_placement.hpp"
@@ -39,126 +31,6 @@ std::vector<VmFlow> workload(const Topology& topo, int l, std::uint64_t seed) {
   Rng rng(seed);
   return generate_vm_flows(topo, cfg, rng);
 }
-
-void BM_AllPairs(benchmark::State& state) {
-  const Topology topo = build_fat_tree(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    AllPairs apsp(topo.graph);
-    benchmark::DoNotOptimize(apsp.diameter());
-  }
-  state.SetComplexityN(topo.graph.num_nodes());
-}
-BENCHMARK(BM_AllPairs)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond)
-    ->Complexity();
-
-void BM_StrollDp(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, 1, 7);
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const StrollResult r =
-        solve_top1_dp(apsp, flows[0].src_host, flows[0].dst_host, n);
-    benchmark::DoNotOptimize(r.cost);
-  }
-}
-BENCHMARK(BM_StrollDp)->Arg(3)->Arg(7)->Arg(13)->Unit(benchmark::kMillisecond);
-
-void BM_PlacementDp(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, 200, 11);
-  CostModel cm(apsp, flows);
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const PlacementResult r = solve_top_dp(cm, n);
-    benchmark::DoNotOptimize(r.comm_cost);
-  }
-}
-BENCHMARK(BM_PlacementDp)->Arg(3)->Arg(7)->Arg(13)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParetoMigration(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  auto flows = workload(topo, 200, 13);
-  CostModel cm(apsp, flows);
-  const Placement from = solve_top_dp(cm, 7).placement;
-  std::vector<double> rates = rates_of(flows);
-  std::reverse(rates.begin(), rates.end());
-  set_rates(flows, rates);
-  cm.refresh();
-  for (auto _ : state) {
-    const MigrationResult r = solve_tom_pareto(cm, from, 1e4);
-    benchmark::DoNotOptimize(r.total_cost);
-  }
-}
-BENCHMARK(BM_ParetoMigration)->Unit(benchmark::kMillisecond);
-
-void BM_VmMigrationMcf(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, static_cast<int>(state.range(0)), 17);
-  CostModel cm(apsp, flows);
-  const Placement p = solve_top_dp(cm, 7).placement;
-  VmMigrationConfig cfg;
-  cfg.mu = 1e4;
-  cfg.host_capacity = 4;  // force the full min-cost-flow path
-  cfg.candidate_hosts = 16;
-  for (auto _ : state) {
-    const VmMigrationResult r = solve_vm_migration_mcf(apsp, flows, p, cfg);
-    benchmark::DoNotOptimize(r.total_cost);
-  }
-}
-BENCHMARK(BM_VmMigrationMcf)->Arg(50)->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LinkLoadPolicyRouting(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, static_cast<int>(state.range(0)), 23);
-  CostModel cm(apsp, flows);
-  const Placement p = solve_top_dp(cm, 5).placement;
-  for (auto _ : state) {
-    const LinkLoadMap m = policy_link_load(apsp, flows, p);
-    benchmark::DoNotOptimize(m.max_load());
-  }
-}
-BENCHMARK(BM_LinkLoadPolicyRouting)->Arg(50)->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LocalSearchPolish(benchmark::State& state) {
-  const Topology topo = build_fat_tree(8);
-  const AllPairs apsp(topo.graph);
-  const auto flows = workload(topo, 200, 29);
-  CostModel cm(apsp, flows);
-  const Placement start = solve_top_steering(cm, 5).placement;
-  for (auto _ : state) {
-    const LocalSearchResult r = improve_placement(cm, start);
-    benchmark::DoNotOptimize(r.comm_cost);
-  }
-}
-BENCHMARK(BM_LocalSearchPolish)->Unit(benchmark::kMillisecond);
-
-void BM_MinCostFlowGrid(benchmark::State& state) {
-  // Classic transportation instance: n suppliers x n consumers.
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    MinCostFlow f(2 + 2 * n);
-    for (int i = 0; i < n; ++i) {
-      f.add_arc(0, 2 + i, 3, 0.0);
-      f.add_arc(2 + n + i, 1, 3, 0.0);
-      for (int j = 0; j < n; ++j) {
-        f.add_arc(2 + i, 2 + n + j,
-                  2, static_cast<double>((i * 7 + j * 13) % 10 + 1));
-      }
-    }
-    const auto r = f.solve(0, 1);
-    benchmark::DoNotOptimize(r.cost);
-  }
-}
-BENCHMARK(BM_MinCostFlowGrid)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Pinned BENCH_*.json scenarios. Every parameter below (arity, workload
@@ -194,7 +66,7 @@ BenchRecord pin_all_pairs() {
   rec.timing = bench::time_kernel(
       [&] {
         AllPairs apsp(topo.graph);
-        benchmark::DoNotOptimize(apsp.diameter());
+        bench::sink(apsp.diameter());
       },
       g_smoke);
   return rec;
@@ -219,7 +91,7 @@ BenchRecord pin_stroll_dp() {
       [&] {
         const StrollResult r =
             solve_top1_dp(apsp, flows[0].src_host, flows[0].dst_host, 13);
-        benchmark::DoNotOptimize(r.cost);
+        bench::sink(r.cost);
       },
       g_smoke);
   return rec;
@@ -242,7 +114,7 @@ BenchRecord pin_placement_dp() {
   rec.timing = bench::time_kernel(
       [&] {
         const PlacementResult r = solve_top_dp(cm, 7);
-        benchmark::DoNotOptimize(r.comm_cost);
+        bench::sink(r.comm_cost);
       },
       g_smoke);
   return rec;
@@ -280,7 +152,7 @@ BenchRecord pin_pareto_migration() {
   rec.timing = bench::time_kernel(
       [&] {
         const MigrationResult r = solve_tom_pareto(cm, from, 1e4);
-        benchmark::DoNotOptimize(r.total_cost);
+        bench::sink(r.total_cost);
       },
       g_smoke);
   return rec;
@@ -308,7 +180,7 @@ BenchRecord pin_cost_refresh() {
   rec.timing = bench::time_kernel(
       [&] {
         cm.refresh();
-        benchmark::DoNotOptimize(cm.min_ingress_attraction());
+        bench::sink(cm.min_ingress_attraction());
       },
       g_smoke);
   return rec;
@@ -332,7 +204,6 @@ int run_pinned(const std::string& dir) {
 
 int main(int argc, char** argv) {
   std::string json_dir;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--bench_json" && i + 1 < argc) {
@@ -340,17 +211,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       g_smoke = true;
     } else {
-      passthrough.push_back(argv[i]);
+      std::cerr << "micro_kernels: unknown argument '" << arg << "'\n";
+      return 2;
     }
   }
-  if (!json_dir.empty()) return run_pinned(json_dir);
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc,
-                                             passthrough.data())) {
-    return 1;
+  if (json_dir.empty()) {
+    std::cerr << "usage: micro_kernels --bench_json DIR [--smoke]\n";
+    return 2;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_pinned(json_dir);
 }

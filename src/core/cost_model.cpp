@@ -503,16 +503,18 @@ CostModel::GroupSnapshot CostModel::group_snapshot() const {
   return snap;
 }
 
-void CostModel::restore_group_snapshot(const GroupSnapshot& snap) {
+CostModel::CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+                     const GroupSnapshot& snap)
+    : apsp_(&apsp), flows_(&flows) {
   PPDC_REQUIRE(snap.num_groups > 0, "group snapshot has no groups");
-  PPDC_REQUIRE(snap.base_rates.size() == flows_->size() &&
-                   snap.groups.size() == flows_->size() &&
-                   snap.snap_src.size() == flows_->size() &&
-                   snap.snap_dst.size() == flows_->size(),
+  PPDC_REQUIRE(snap.base_rates.size() == flows.size() &&
+                   snap.groups.size() == flows.size() &&
+                   snap.snap_src.size() == flows.size() &&
+                   snap.snap_dst.size() == flows.size(),
                "group snapshot sized for " +
                    std::to_string(snap.base_rates.size()) + " flows, model "
-                   "bound to " + std::to_string(flows_->size()));
-  const std::size_t v = ingress_.size();  // |V|, sized by the constructor
+                   "bound to " + std::to_string(flows.size()));
+  const auto v = static_cast<std::size_t>(apsp.num_nodes());
   PPDC_REQUIRE(snap.group_ingress.size() == snap.row_groups.size() * v &&
                    snap.group_egress.size() == snap.row_groups.size() * v,
                "group snapshot base vectors do not match the topology");
@@ -520,6 +522,8 @@ void CostModel::restore_group_snapshot(const GroupSnapshot& snap) {
                    snap.last_scales.size() ==
                        static_cast<std::size_t>(snap.num_groups),
                "group snapshot scale vector size mismatch");
+  ingress_.assign(v, 0.0);
+  egress_.assign(v, 0.0);
   num_groups_ = snap.num_groups;
   base_rates_ = snap.base_rates;
   groups_ = snap.groups;

@@ -190,12 +190,13 @@ class CostModel {
   };
   GroupSnapshot group_snapshot() const;
 
-  /// Overwrites the group-refresh state with `snap` (taken from a model
-  /// bound to an identical flow vector over the same topology). The
-  /// combined Λ/A/B vectors are left untouched; callers recombine via
-  /// refresh_scaled() or refresh() before the next cost query, exactly as
-  /// after a batch of rebase_flow() patches.
-  void restore_group_snapshot(const GroupSnapshot& snap);
+  /// Builds a group-mode evaluator holding `snap` verbatim (taken from a
+  /// model bound to an identical flow vector over the same topology),
+  /// without an attraction pass. Λ, A and B start at zero; callers
+  /// recombine via refresh_scaled() or refresh() before the first cost
+  /// query, exactly as after a batch of rebase_flow() patches.
+  CostModel(const AllPairs& apsp, const std::vector<VmFlow>& flows,
+            const GroupSnapshot& snap);
 
  private:
   /// Rebuilds the per-group base vectors and endpoint snapshot from

@@ -245,15 +245,7 @@ std::vector<int> ShardedCostModel::apply_churn(
 ShardedCostModel::ShardSnapshot ShardedCostModel::shard_snapshot(
     int s) const {
   const Shard& sh = shard(s);
-  ShardSnapshot snap;
-  snap.flows = sh.flows;
-  snap.base_rates = sh.base_rates;
-  snap.groups = sh.groups;
-  snap.global_ids = sh.global_ids;
-  snap.free_locals = sh.free_locals;
-  snap.live = sh.live;
-  snap.model = sh.model->group_snapshot();
-  return snap;
+  return ShardSnapshot{sh, sh.model->group_snapshot()};
 }
 
 void ShardedCostModel::restore_shards(
@@ -280,12 +272,7 @@ void ShardedCostModel::restore_shards(
   for (std::size_t s = 0; s < snaps.size(); ++s) {
     const ShardSnapshot& snap = snaps[s];
     Shard& sh = *shards_[s];
-    sh.flows = snap.flows;
-    sh.base_rates = snap.base_rates;
-    sh.groups = snap.groups;
-    sh.global_ids = snap.global_ids;
-    sh.free_locals = snap.free_locals;
-    sh.live = snap.live;
+    static_cast<ShardSlots&>(sh) = snap;
     for (std::size_t l = 0; l < sh.global_ids.size(); ++l) {
       const FlowId g = sh.global_ids[l];
       if (!g.valid()) continue;
@@ -296,11 +283,10 @@ void ShardedCostModel::restore_shards(
       flow_shard_[gi] = static_cast<int>(s);
       flow_local_[gi] = FlowId{static_cast<std::int32_t>(l)};
     }
-    // Rebind the cost model to the restored flow vector and hand it the
+    // Rebind the cost model to the restored flow vector with the
     // snapshotted group state verbatim (the base vectors carry patch
     // history a rebuild would not reproduce bit for bit).
-    sh.model = std::make_unique<CostModel>(*apsp_, sh.flows);
-    sh.model->restore_group_snapshot(snap.model);
+    sh.model = std::make_unique<CostModel>(*apsp_, sh.flows, snap.model);
   }
 }
 

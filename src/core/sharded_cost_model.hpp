@@ -68,18 +68,22 @@ struct ShardMap {
 /// (or static) global flow vector.
 class ShardedCostModel {
  public:
+  /// A shard's flow slots, stored once: the shard holds them and its
+  /// journal snapshot copies them verbatim.
+  struct ShardSlots {
+    std::vector<VmFlow> flows;        ///< compact slot-dense local vector
+    std::vector<double> base_rates;   ///< λ̄ per local slot (0 = vacant)
+    std::vector<int> groups;          ///< diurnal group per local slot
+    std::vector<FlowId> global_ids;   ///< local slot -> global FlowId
+    std::vector<FlowId> free_locals;  ///< vacant local slots, descending
+    int live = 0;                     ///< slots carrying traffic
+  };
   /// One shard's state. Held by unique_ptr so `flows` (the vector object
   /// the shard's CostModel is bound to) never changes address when the
   /// shard set is built.
-  struct Shard {
+  struct Shard : ShardSlots {
     std::string name;
-    std::vector<VmFlow> flows;         ///< compact slot-dense local vector
-    std::vector<double> base_rates;    ///< λ̄ per local slot (0 = vacant)
-    std::vector<int> groups;           ///< diurnal group per local slot
-    std::vector<FlowId> global_ids;    ///< local slot -> global FlowId
-    std::vector<FlowId> free_locals;   ///< vacant local slots, descending
     std::unique_ptr<CostModel> model;  ///< bound to `flows`
-    int live = 0;                      ///< slots carrying traffic
   };
 
   /// Partitions `flows` (a slot-dense global vector whose `rate` fields
@@ -120,22 +124,16 @@ class ShardedCostModel {
   /// (sim/checkpoint.hpp). The CostModel group state is captured verbatim
   /// — its base vectors carry patch history that a from-scratch rebuild
   /// would not reproduce bit for bit.
-  struct ShardSnapshot {
-    std::vector<VmFlow> flows;
-    std::vector<double> base_rates;
-    std::vector<int> groups;
-    std::vector<FlowId> global_ids;
-    std::vector<FlowId> free_locals;
-    int live = 0;
+  struct ShardSnapshot : ShardSlots {
     CostModel::GroupSnapshot model;
   };
   ShardSnapshot shard_snapshot(int s) const;
 
   /// Restores every shard from `snaps` (one per shard, same pod order as
   /// construction) and rebuilds the global↔local id maps from the shards'
-  /// `global_ids`. Each shard's CostModel is reconstructed over the
-  /// restored flow vector and handed its snapshotted group state; as after
-  /// apply_churn(), callers must refresh each model before cost queries.
+  /// `global_ids`. Each shard's CostModel is rebuilt from its snapshotted
+  /// group state without an attraction pass; as after apply_churn(),
+  /// callers must refresh each model before cost queries.
   void restore_shards(const std::vector<ShardSnapshot>& snaps);
 
  private:

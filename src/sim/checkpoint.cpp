@@ -757,14 +757,14 @@ void put_shard_state(std::string& out, const ShardResumeState& s) {
   put_vec(out, s.shard.free_locals);
   put_i32(out, s.shard.live);
   put_group_snapshot(out, s.shard.model);
-  put_vec(out, s.placement);
-  put_f64(out, s.last_comm);
-  put_i32(out, s.staleness);
-  put_i32(out, s.churned);
-  put_u8(out, s.resync_pending ? 1 : 0);
-  put_u8(out, s.rung);
-  put_i32(out, s.clean_streak);
-  put_i32(out, s.fail_streak);
+  put_vec(out, s.loop.placement);
+  put_f64(out, s.loop.last_comm);
+  put_i32(out, s.loop.staleness);
+  put_i32(out, s.loop.churned);
+  put_u8(out, s.loop.resync_pending ? 1 : 0);
+  put_u8(out, static_cast<std::uint8_t>(s.loop.rung));
+  put_i32(out, s.loop.clean_streak);
+  put_i32(out, s.loop.fail_streak);
 }
 
 ShardResumeState cursor_shard_state(Cursor& c) {
@@ -776,17 +776,18 @@ ShardResumeState cursor_shard_state(Cursor& c) {
   s.shard.free_locals = read_vec<FlowId>(c);
   s.shard.live = c.i32();
   s.shard.model = cursor_group_snapshot(c);
-  s.placement = read_vec<std::int32_t>(c);
-  s.last_comm = c.f64();
-  s.staleness = c.i32();
-  s.churned = c.i32();
-  s.resync_pending = c.u8() != 0;
-  s.rung = c.u8();
-  PPDC_REQUIRE(s.rung <= static_cast<std::uint8_t>(DegradationRung::kFrozen),
+  s.loop.placement = read_vec<std::int32_t>(c);
+  s.loop.last_comm = c.f64();
+  s.loop.staleness = c.i32();
+  s.loop.churned = c.i32();
+  s.loop.resync_pending = c.u8() != 0;
+  const std::uint8_t rung = c.u8();
+  PPDC_REQUIRE(rung <= static_cast<std::uint8_t>(DegradationRung::kFrozen),
                "epoch journal shard state carries unknown rung " +
-                   std::to_string(s.rung));
-  s.clean_streak = c.i32();
-  s.fail_streak = c.i32();
+                   std::to_string(rung));
+  s.loop.rung = static_cast<DegradationRung>(rung);
+  s.loop.clean_streak = c.i32();
+  s.loop.fail_streak = c.i32();
   return s;
 }
 

@@ -180,17 +180,24 @@ struct EpochRecord {
   std::uint32_t ladder_steps = 0;
 };
 
+/// One shard's epoch-loop state besides its cost model and policy: the
+/// loop keeps one per shard and the journal stores it verbatim.
+struct ShardLoopState {
+  Placement placement;
+  double last_comm = 0.0;        ///< stale estimate charged at kFrozen
+  std::int32_t staleness = 0;    ///< consecutive held epochs
+  std::int32_t churned = 0;      ///< churned flows since the last re-solve
+  bool resync_pending = false;   ///< primary bases stale after faults
+  // Private degradation ladder + failure containment (DESIGN.md §15).
+  DegradationRung rung = DegradationRung::kFull;
+  std::int32_t clean_streak = 0;  ///< trip-free epochs at the current rung
+  std::int32_t fail_streak = 0;   ///< consecutive failed policy attempts
+};
+
 /// One shard's full mutable engine state at the journal's checkpoint.
 struct ShardResumeState {
   ShardedCostModel::ShardSnapshot shard;
-  Placement placement;
-  double last_comm = 0.0;
-  std::int32_t staleness = 0;
-  std::int32_t churned = 0;
-  bool resync_pending = false;
-  std::uint8_t rung = 0;  ///< DegradationRung of the shard's ladder
-  std::int32_t clean_streak = 0;
-  std::int32_t fail_streak = 0;
+  ShardLoopState loop;
 };
 
 /// Everything an epoch journal persists: the identity key, the replayable

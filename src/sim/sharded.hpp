@@ -5,17 +5,21 @@
 // rescaled (Eq. 9, or a custom SimConfig::rate_schedule), the costs are
 // refreshed, and the migration policy reacts — mPareto (Algorithm 5) or
 // a VM-migration baseline (PLAN/MCF). This file holds the one loop that
-// does it. run_simulation (sim/engine.hpp) runs it on a single shard over
-// a fixed flow population; million-flow runs shard it by ingress pod
-// (core/sharded_cost_model.hpp): every shard owns its own flow subset,
-// cost model, policy instance, and placement, and the loop solves the
-// shards concurrently on a worker pool. Between epochs the
-// StreamingWorkload churns (arrivals / departures / re-rates), and each
-// shard re-solves only when its accumulated churn crosses
-// ShardedStreamingConfig::resolve_churn_fraction or it has been held for
-// max_staleness epochs (bounded staleness). Held shards keep their
-// placement but are re-costed *exactly* — their cost model still refreshes
-// under the epoch's rates and the epoch charges
+// does it. run_simulation (sim/engine.hpp) runs it on one shard over a
+// fixed flow population with the caller's policy; million-flow runs shard
+// it by ingress pod (core/sharded_cost_model.hpp): each shard owns its flow
+// subset, cost model, policy clone and ShardLoopState, and the loop solves
+// the shards concurrently on a worker pool. Set-up (journal resume or the
+// hour-0 TOP solve) ends at on_run_begin; each epoch then runs named phases
+// (DESIGN.md §14) — churn apply, fault advance, the per-shard epoch, merge,
+// ladder step, audit, journal checkpoint — emitting events in that order.
+//
+// Between epochs the StreamingWorkload churns (arrivals / departures /
+// re-rates), and each shard re-solves only when its accumulated churn
+// crosses ShardedStreamingConfig::resolve_churn_fraction or it has been
+// held for max_staleness epochs (bounded staleness). Held shards keep
+// their placement but are re-costed *exactly* — their cost model still
+// refreshes under the epoch's rates and the epoch charges
 // communication_cost(placement), never a stale estimate.
 //
 // Determinism contract: shard state is exact per shard and decisions

@@ -635,9 +635,9 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
   EXPECT_EQ(state.epochs.size(), 5u);
   ASSERT_EQ(state.shards.size(), static_cast<std::size_t>(map.num_shards()));
   for (const ShardResumeState& st : state.shards) {
-    EXPECT_EQ(st.placement.size(), 3u);
-    EXPECT_EQ(st.rung, 0u);
-    EXPECT_EQ(st.fail_streak, 0);
+    EXPECT_EQ(st.loop.placement.size(), 3u);
+    EXPECT_EQ(st.loop.rung, DegradationRung::kFull);
+    EXPECT_EQ(st.loop.fail_streak, 0);
   }
   EXPECT_FALSE(state.workload.flows.empty());
   EXPECT_FALSE(state.merged_initial.empty());
@@ -655,7 +655,7 @@ TEST_F(CheckpointTest, EpochJournalRoundTripAndFingerprint) {
               state.epochs[e].decision.comm_cost);
     EXPECT_EQ(again.epochs[e].ladder_steps, state.epochs[e].ladder_steps);
   }
-  EXPECT_EQ(again.shards[0].placement, state.shards[0].placement);
+  EXPECT_EQ(again.shards[0].loop.placement, state.shards[0].loop.placement);
   EXPECT_EQ(again.workload.rng, state.workload.rng);
   EXPECT_EQ(again.workload.next_index, state.workload.next_index);
 
@@ -854,14 +854,14 @@ EpochJournalState golden_epoch_state() {
     g.last_scales = {0.2 + k, 0.9};
     g.snap_src = {20 + k, 22 + k};
     g.snap_dst = {21 + k, 23 + k};
-    st.placement = {5 + k, 6 + k, 7 + k};
-    st.last_comm = 42.5 + k;
-    st.staleness = 2 + k;
-    st.churned = 3 + k;
-    st.resync_pending = k == 1;
-    st.rung = static_cast<std::uint8_t>(k + 1);
-    st.clean_streak = 4 + k;
-    st.fail_streak = 5 + k;
+    st.loop.placement = {5 + k, 6 + k, 7 + k};
+    st.loop.last_comm = 42.5 + k;
+    st.loop.staleness = 2 + k;
+    st.loop.churned = 3 + k;
+    st.loop.resync_pending = k == 1;
+    st.loop.rung = static_cast<DegradationRung>(k + 1);
+    st.loop.clean_streak = 4 + k;
+    st.loop.fail_streak = 5 + k;
     s.shards.push_back(st);
   }
   s.workload.flows = {VmFlow{30, 31, 3.5, 0}, VmFlow{32, 33, 0.0, 1},

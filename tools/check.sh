@@ -159,6 +159,23 @@ else
   note "tsan: SKIPPED (no $TSAN_RUNNER — build the tsan preset first)"
 fi
 
+# The sharded equivalence test drives the epoch loop's pooled shard phase
+# at 1/2/4 threads (hour-0 solve, per-shard epoch, fixed-order merge,
+# ladder, audit and journal phases), so its phase boundaries run
+# instrumented.
+TSAN_SHARDED=build-tsan/tests/sharded_equivalence_test
+if [ -x "$TSAN_SHARDED" ]; then
+  note "tsan: $TSAN_SHARDED"
+  if "$TSAN_SHARDED" >/dev/null; then
+    echo "   OK: sharded epoch phases are race-free under TSan"
+  else
+    echo "   FAIL: TSan flagged the sharded epoch phases" >&2
+    failures=$((failures + 1))
+  fi
+else
+  note "tsan: SKIPPED (no $TSAN_SHARDED — build the tsan preset first)"
+fi
+
 # The sharded streaming loop solves shards concurrently on its own worker
 # pool (sim/sharded.cpp); re-run the scale_smoke scenario instrumented so
 # the per-shard phase / fixed-order merge handoffs are TSan-checked too.
